@@ -26,8 +26,8 @@
 #include "common/statistics.hh"
 #include "common/table.hh"
 #include "harness/batch_runner.hh"
+#include "harness/executor.hh"
 #include "harness/experiment.hh"
-#include "harness/process_pool.hh"
 #include "harness/result_cache.hh"
 #include "harness/trace_report.hh"
 
@@ -42,21 +42,13 @@ struct FigureOptions
     std::vector<std::string> benchmarks; //!< empty = all 19
     std::size_t jobs = 1; //!< simulation worker threads (--jobs)
     /**
-     * Multi-process execution (--workers/--worker-bin): when
-     * pool.workers > 0 the plan runs across spawned
-     * taskpoint_worker processes instead of in-process threads,
-     * with byte-identical deterministic output.
+     * Where the figure's plans run (harness::executorFromCli):
+     * in-process on --jobs threads with the --cache-dir and
+     * --checkpoint-dir stores, or with --workers=N as a local
+     * dispatch campaign — byte-identical deterministic output
+     * either way.
      */
-    harness::ProcessPoolOptions pool;
-    /** Result cache (--cache-dir/--cache); may be null. */
-    std::shared_ptr<harness::ResultCache> cache;
-    /**
-     * Warm-state checkpoint store (--checkpoint-dir); may be null.
-     * In-process runs record/restore through it directly; with
-     * --workers the pool forwards the directory to its workers
-     * (pool.checkpointDir) instead.
-     */
-    std::shared_ptr<harness::ResultCache> checkpoints;
+    std::unique_ptr<harness::Executor> executor;
     /** Replay this serialized plan instead of the built one. */
     std::string planFile;
     /** Serialize the plan about to run to this path. */
@@ -125,7 +117,6 @@ parseFigureOptions(int argc, char **argv,
          "comma-separated workload names (default: all 19)"},
         jobsCliOption(),
         workersCliOption(),
-        workerBinCliOption(),
         maxRetriesCliOption(),
         cacheDirCliOption(),
         cacheModeCliOption(),
@@ -155,16 +146,7 @@ parseFigureOptions(int argc, char **argv,
     o.benchmarks = args.getList("benchmarks", {});
     validateBenchmarks(o.benchmarks);
     o.jobs = jobsFlag(args, o.jobs);
-    o.pool = harness::processPoolFromCli(args);
-    // Multi-process runs consult the cache and checkpoint store
-    // inside the workers (the pool forwards --cache-dir/--cache and
-    // --checkpoint-dir); a driver-side instance would only ever
-    // report zero hits.
-    if (o.pool.workers == 0) {
-        o.cache = harness::resultCacheFromCli(args);
-        o.checkpoints = harness::openCheckpointDir(
-            args.getString(kCheckpointDirOption, ""));
-    }
+    o.executor = harness::executorFromCli(args);
     if (plan == PlanCli::Supported) {
         o.planFile = args.getString("plan", "");
         o.savePlanFile = args.getString("save-plan", "");
@@ -179,8 +161,7 @@ parseFigureOptions(int argc, char **argv,
 inline void
 reportCacheStats(const FigureOptions &opts)
 {
-    if (opts.cache)
-        harness::progress(opts.cache->statsLine());
+    opts.executor->reportCacheStats();
 }
 
 /** @return the selected workload names (default: all of Table I). */
@@ -266,20 +247,6 @@ applyPlanOptions(const FigureOptions &opts,
     return built;
 }
 
-/** @return BatchOptions assembled from the figure options. */
-inline harness::BatchOptions
-figureBatchOptions(const FigureOptions &opts)
-{
-    harness::BatchOptions bo;
-    bo.jobs = opts.jobs;
-    bo.progress = true;
-    bo.cache = opts.cache.get();
-    bo.checkpoints = opts.checkpoints.get();
-    bo.collectTimelines =
-        !opts.traceOut.empty() || !opts.traceStats.empty();
-    return bo;
-}
-
 /**
  * Copies each figure result into the executor's trace sinks while
  * forwarding the original to the figure's own sink. Trace-sink
@@ -320,15 +287,13 @@ class FigureTraceTee final : public harness::ResultSink
 };
 
 /**
- * Executes a figure's plans either in-process or multi-process.
+ * Executes a figure's plans on the executor its command line chose
+ * (FigureOptions::executor).
  *
- * Holds one BatchRunner for the in-process path, so a driver running
- * several plans (references, then a sampled sweep) realizes each
- * trace once and shares it — and resolveTrace() works for structure
- * statistics in both modes. With `--workers=N` every run() is
- * delegated to a ProcessPool of spawned taskpoint_worker processes;
- * both paths honour the same ordered-sink contract, so a figure's
- * deterministic output is byte-identical either way.
+ * The executor holds one BatchRunner, so a driver running several
+ * plans (references, then a sampled sweep) realizes each trace once
+ * and shares it — and resolveTrace() works for structure statistics
+ * in-process and under `--workers` alike.
  *
  * `--trace-out`/`--trace-stats` tee every run's results into a
  * ChromeTraceSink / TimelineStatsSink spanning all plans the
@@ -338,7 +303,7 @@ class PlanExecutor
 {
   public:
     explicit PlanExecutor(const FigureOptions &opts)
-        : opts_(&opts), runner_(figureBatchOptions(opts))
+        : executor_(*opts.executor)
     {
         if (!opts.traceOut.empty()) {
             traceSinks_.push_back(
@@ -362,10 +327,10 @@ class PlanExecutor
         harness::ResultSink &sink) const
     {
         if (taps_.empty()) {
-            runRaw(plan, sink);
+            executor_.run(plan, sink);
         } else {
             FigureTraceTee tee(sink, taps_);
-            runRaw(plan, tee);
+            executor_.run(plan, tee);
         }
     }
 
@@ -382,22 +347,11 @@ class PlanExecutor
     std::shared_ptr<const trace::TaskTrace>
     resolveTrace(const harness::JobSpec &job) const
     {
-        return runner_.resolveTrace(job);
+        return executor_.resolveTrace(job);
     }
 
   private:
-    void
-    runRaw(const harness::ExperimentPlan &plan,
-           harness::ResultSink &sink) const
-    {
-        if (opts_->pool.workers > 0)
-            harness::ProcessPool(opts_->pool).run(plan, sink);
-        else
-            runner_.run(plan, sink);
-    }
-
-    const FigureOptions *opts_;
-    harness::BatchRunner runner_;
+    const harness::Executor &executor_;
     std::vector<std::unique_ptr<harness::ResultSink>> traceSinks_;
     std::vector<harness::ResultSink *> taps_;
 };

@@ -4,7 +4,7 @@
  * for shipping a batch to another process or machine.
  *
  *   ./replay_plan --plan=FILE [--jobs=N|auto] [--list]
- *                 [--workers=N|auto] [--worker-bin=PATH]
+ *                 [--workers=N|auto] [--max-retries=N]
  *                 [--csv=FILE] [--json=FILE]
  *                 [--trace-out=FILE] [--trace-stats=FILE]
  *                 [--cache-dir=DIR] [--cache=off|ro|rw]
@@ -18,8 +18,9 @@
  * row streams to files. Deterministic fields of the report are
  * byte-identical to running the plan in the process that built it —
  * only host wall-clock columns differ — and `--workers=N` executes
- * the plan across spawned taskpoint_worker processes with the same
- * guarantee. `--list` inspects the jobs without simulating anything.
+ * the plan as a local dispatch campaign of N spawned runners with the
+ * same guarantee. `--list` inspects the jobs without simulating
+ * anything.
  */
 
 #include <cstdio>
@@ -27,10 +28,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
-#include "harness/result_cache.hh"
-#include "harness/trace_report.hh"
+#include "harness/executor.hh"
 
 using namespace tp;
 
@@ -61,7 +59,7 @@ main(int argc, char **argv)
          {"list", "print the plan's jobs instead of running them"},
          {"csv", "also stream results to this file as CSV rows"},
          {"json", "also stream results to this file as a JSON array"},
-         jobsCliOption(), workersCliOption(), workerBinCliOption(),
+         jobsCliOption(), workersCliOption(),
          maxRetriesCliOption(), cacheDirCliOption(),
          cacheModeCliOption(), checkpointDirCliOption(),
          traceOutCliOption(), traceStatsCliOption(),
@@ -96,66 +94,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    harness::TableSink table("replayed plan " + path);
-    harness::StatsSink stats;
-    std::vector<harness::ResultSink *> sinks = {&table, &stats};
-    std::unique_ptr<harness::CsvSink> csv;
-    if (const std::string f = args.getString("csv", ""); !f.empty())
-        sinks.push_back(
-            (csv = std::make_unique<harness::CsvSink>(f)).get());
-    std::unique_ptr<harness::JsonSink> json;
-    if (const std::string f = args.getString("json", ""); !f.empty())
-        sinks.push_back(
-            (json = std::make_unique<harness::JsonSink>(f)).get());
-    const std::string traceOut =
-        args.getString(kTraceOutOption, "");
-    const std::string traceStats =
-        args.getString(kTraceStatsOption, "");
-    std::unique_ptr<harness::ChromeTraceSink> trace;
-    if (!traceOut.empty())
-        sinks.push_back(
-            (trace = std::make_unique<harness::ChromeTraceSink>(
-                 traceOut))
-                .get());
-    std::unique_ptr<harness::TimelineStatsSink> coreStats;
-    if (!traceStats.empty())
-        sinks.push_back(
-            (coreStats =
-                 std::make_unique<harness::TimelineStatsSink>(
-                     traceStats))
-                .get());
-    harness::TeeSink tee(std::move(sinks));
-
-    const harness::ProcessPoolOptions poolOpts =
-        harness::processPoolFromCli(args);
-    if (poolOpts.workers > 0) {
-        // Multi-process: workers consult the cache and checkpoint
-        // store themselves (the pool forwards the directories) and
-        // ship timelines back when a trace sink is active.
-        harness::ProcessPool(poolOpts).run(plan, tee);
-    } else {
-        const std::unique_ptr<harness::ResultCache> cache =
-            harness::resultCacheFromCli(args);
-        const std::unique_ptr<harness::ResultCache> checkpoints =
-            harness::openCheckpointDir(
-                args.getString(kCheckpointDirOption, ""));
-        harness::BatchOptions opts;
-        opts.jobs = jobsFlag(args, 1);
-        opts.progress = true;
-        opts.cache = cache.get();
-        opts.checkpoints = checkpoints.get();
-        opts.collectTimelines =
-            !traceOut.empty() || !traceStats.empty();
-        harness::BatchRunner(opts).run(plan, tee);
-        if (cache)
-            harness::progress(cache->statsLine());
-    }
-
-    if (stats.errorStats().count() > 0) {
-        const RunningStats &err = stats.errorStats();
-        std::printf("error over %zu comparisons: mean %.2f%%, "
-                    "max %.2f%%\n",
-                    err.count(), err.mean(), err.max());
-    }
+    harness::runPlanReport("replayed plan " + path, plan,
+                           *harness::executorFromCli(args), args);
     return 0;
 }

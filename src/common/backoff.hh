@@ -2,10 +2,10 @@
  * @file
  * Bounded exponential backoff for polling loops.
  *
- * Coordinators that tail files published by other processes
- * (harness/process_pool, harness/dispatch) have no event to wait on —
- * they poll. A fixed short interval burns a CPU core while a fleet of
- * workers grinds through a long shard; a fixed long interval adds
+ * Processes that watch files published by other processes (the
+ * dispatch coordinator and its runners, harness/dispatch) have no
+ * event to wait on — they poll. A fixed short interval burns a CPU
+ * core while a fleet of runners grinds through a long shard; a fixed long interval adds
  * latency to every result. PollBackoff gives the standard compromise:
  * each fruitless poll doubles the sleep up to a cap, and any progress
  * resets it to the minimum, so a busy stream is tailed near-instantly

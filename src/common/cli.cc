@@ -210,7 +210,6 @@ CliArgs::getDoubleIn(const std::string &name, double fallback,
 
 const char *const kJobsOption = "jobs";
 const char *const kWorkersOption = "workers";
-const char *const kWorkerBinOption = "worker-bin";
 const char *const kCacheDirOption = "cache-dir";
 const char *const kCacheModeOption = "cache";
 const char *const kTargetErrorOption = "target-error";
@@ -232,17 +231,10 @@ CliOption
 workersCliOption()
 {
     return {kWorkersOption,
-            "out-of-process worker count: N spawns N "
-            "taskpoint_worker processes, 'auto' uses the host's "
-            "hardware concurrency, 0 runs in-process (default 0)"};
-}
-
-CliOption
-workerBinCliOption()
-{
-    return {kWorkerBinOption,
-            "path of the taskpoint_worker binary (default: next to "
-            "this executable)"};
+            "run the plan as a local dispatch campaign: N spawns N "
+            "taskpoint_dispatch runners on a temp spool, 'auto' uses "
+            "the host's hardware concurrency, 0 runs in-process "
+            "(default 0)"};
 }
 
 CliOption
@@ -329,9 +321,8 @@ CliOption
 maxRetriesCliOption()
 {
     return {kMaxRetriesOption,
-            "attempts per shard before a multi-process or "
-            "distributed run fails: spawn retries for --workers, "
-            "steal/re-split rounds for taskpoint_dispatch "
+            "steal/re-split rounds per shard lineage before a "
+            "--workers or taskpoint_dispatch campaign fails "
             "(default 3, range 1-100)"};
 }
 

@@ -113,12 +113,11 @@ std::vector<std::string> splitString(const std::string &s, char delim);
 extern const char *const kJobsOption;
 
 /**
- * Canonical names of the multi-process options ("workers",
- * "worker-bin"). Drivers that can hand a plan to a ProcessPool list
- * both and build the pool with harness::processPoolFromCli().
+ * Canonical name of the multi-process option ("workers"). Drivers
+ * that can run a plan as a local dispatch campaign list it and build
+ * their executor with harness::executorFromCli().
  */
 extern const char *const kWorkersOption;
-extern const char *const kWorkerBinOption;
 
 /**
  * Canonical names of the result-cache options ("cache-dir",
@@ -140,9 +139,8 @@ extern const char *const kCheckpointDirOption;
 
 /**
  * Canonical name of the fault-tolerance budget option
- * ("max-retries"): attempts per shard before a ProcessPool run
- * fails, and steal/re-split rounds per shard lineage before a
- * dispatch campaign fails.
+ * ("max-retries"): steal/re-split rounds per shard lineage before a
+ * dispatch campaign (`--workers` or taskpoint_dispatch) fails.
  */
 extern const char *const kMaxRetriesOption;
 
@@ -169,9 +167,8 @@ extern const char *const kFaultPlanOption;
 /** --jobs with its canonical help text. */
 CliOption jobsCliOption();
 
-/** --workers / --worker-bin with their canonical help texts. */
+/** --workers with its canonical help text. */
 CliOption workersCliOption();
-CliOption workerBinCliOption();
 
 /** --cache-dir / --cache with their canonical help texts. */
 CliOption cacheDirCliOption();
@@ -194,7 +191,7 @@ CliOption traceStatsCliOption();
 CliOption faultPlanCliOption();
 
 /**
- * Shard attempt budget from `--max-retries=N` (range-validated to
+ * Lineage attempt budget from `--max-retries=N` (range-validated to
  * [1, 100]); absent means `fallback`. The binary must list
  * kMaxRetriesOption among its allowed options for users to set it.
  */
@@ -211,7 +208,7 @@ std::size_t maxRetriesFlag(const CliArgs &args,
 std::size_t jobsFlag(const CliArgs &args, std::size_t fallback = 1);
 
 /**
- * Out-of-process worker count from `--workers=N` / `--workers=auto`.
+ * Local runner count from `--workers=N` / `--workers=auto`.
  *
  * `auto` selects the host's hardware concurrency; absent or
  * `--workers=0` means run in-process. The binary must list

@@ -1,13 +1,13 @@
 /**
  * @file
- * Minimal child-process management for out-of-process workers.
+ * Minimal child-process management for local runner processes.
  *
- * Subprocess wraps the fork/exec/waitpid plumbing the ProcessPool
- * coordinator (harness/process_pool) needs: spawn a binary with an
- * argv vector, optionally redirecting stdout/stderr to files, poll
- * or block for its exit, and kill it. The child inherits the
- * parent's environment and working directory — workers are always
- * same-machine, same-build peers of the driver.
+ * Subprocess wraps the fork/exec/waitpid plumbing the dispatch
+ * coordinator (harness/dispatch) needs for its local runners: spawn
+ * a binary with an argv vector, optionally redirecting stdout/stderr
+ * to files, poll or block for its exit, and kill it. The child
+ * inherits the parent's environment and working directory — local
+ * runners are always same-machine, same-build peers of the driver.
  *
  * Exit reporting folds normal exits and signal deaths into one
  * ExitStatus so callers can render "exit 3" vs "killed by signal 9"

@@ -359,38 +359,27 @@ BatchRunner::run(const ExperimentPlan &plan, ResultSink &sink) const
     // malformed plan fails fast instead of mid-batch.
     validatePlanJobs(plan);
 
-    // Live-points: when a checkpoint store is attached, split
-    // sampled jobs with recorded checkpoints into per-interval
-    // slices and merge the slice stream back so `sink` sees the
-    // original plan's results.
-    // Timelines cover whole runs, so slice expansion is off under
-    // collectTimelines (restore-vs-replay bit-identity keeps the
-    // deterministic report columns unchanged either way).
-    if (options_.checkpoints != nullptr && options_.expandSlices &&
-        !options_.collectTimelines) {
-        std::uint32_t maxSlices = options_.checkpointSlices;
-        if (maxSlices == 0) {
-            const std::size_t workers =
-                options_.jobs != 0
-                    ? options_.jobs
-                    : std::thread::hardware_concurrency();
-            maxSlices = static_cast<std::uint32_t>(
-                std::max<std::size_t>(workers, 1));
-        }
-        CheckpointExpansion ex = expandCheckpointSlices(
-            plan, *options_.checkpoints, maxSlices);
-        if (ex.expanded) {
-            if (options_.progress)
-                progress(strprintf(
-                    "checkpoints: expanded %zu jobs into %zu "
-                    "slice jobs", plan.jobs.size(),
-                    ex.plan.jobs.size()));
-            SliceMergingSink merging(sink, std::move(ex.groups));
-            runResolved(ex.plan, merging);
-            return;
-        }
+    // Live-points: split sampled jobs with recorded checkpoints into
+    // per-interval slices. Timelines cover whole runs, so slice
+    // expansion is off under collectTimelines (restore-vs-replay
+    // bit-identity keeps the deterministic report columns unchanged
+    // either way).
+    const bool expand =
+        options_.expandSlices && !options_.collectTimelines;
+    std::uint32_t maxSlices = options_.checkpointSlices;
+    if (maxSlices == 0) {
+        const std::size_t workers =
+            options_.jobs != 0 ? options_.jobs
+                               : std::thread::hardware_concurrency();
+        maxSlices = static_cast<std::uint32_t>(
+            std::max<std::size_t>(workers, 1));
     }
-    runResolved(plan, sink);
+    runWithCheckpointSlices(
+        plan, expand ? options_.checkpoints : nullptr, maxSlices,
+        options_.progress, sink,
+        [this](const ExperimentPlan &p, ResultSink &s) {
+            runResolved(p, s);
+        });
 }
 
 void

@@ -43,8 +43,8 @@ class ResultCache;
 /**
  * Fail fast on a malformed plan: every job must name exactly one
  * trace source, and named workloads must exist in the registry.
- * Shared by BatchRunner::run and ProcessPool::run so a bad plan
- * never starts a simulation or spawns a worker.
+ * Shared by BatchRunner::run and runDispatchCampaign so a bad plan
+ * never starts a simulation or spawns a runner.
  *
  * @throws SimError describing the first offending job
  */
@@ -94,10 +94,10 @@ struct BatchOptions
      */
     ResultCache *checkpoints = nullptr;
     /**
-     * Expand jobs into checkpoint slices in run(). Out-of-process
-     * workers disable this: their shards come from a plan the parent
-     * process already expanded, and a worker re-expanding a job
-     * would return more results than its shard promises.
+     * Expand jobs into checkpoint slices in run(). Dispatch runners
+     * disable this: their tasks come from a plan the coordinator
+     * already expanded, and a runner re-expanding a job would
+     * publish more results than its task promises.
      */
     bool expandSlices = true;
     /**

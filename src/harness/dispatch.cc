@@ -32,19 +32,13 @@ namespace {
 const char *const kTaskSuffix = ".tpshard";
 const char *const kStreamSuffix = ".tprs";
 
-/** See g_runCounter in process_pool.cc: unique temp spools per run. */
+/**
+ * Process-wide campaign counter for temp-spool names: two campaigns
+ * in one process (or one after a failed cleanup) must never resolve
+ * the same directory, or stale result streams from the earlier one
+ * would be collected as current ones.
+ */
 std::atomic<std::uint64_t> g_spoolCounter{0};
-
-std::string
-selfBinary()
-{
-    std::error_code ec;
-    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    if (ec)
-        fatal("dispatch: cannot resolve /proc/self/exe to spawn "
-              "local runners; pass an explicit runner binary");
-    return self.string();
-}
 
 std::string
 defaultRunnerId()
@@ -69,6 +63,16 @@ slurp(const std::string &path)
 }
 
 } // namespace
+
+std::string
+defaultRunnerBinary()
+{
+    std::error_code ec;
+    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
+    if (ec || !self.has_parent_path())
+        return "taskpoint_dispatch";
+    return (self.parent_path() / "taskpoint_dispatch").string();
+}
 
 std::string
 formatTaskName(const DispatchTaskName &name)
@@ -331,9 +335,9 @@ runDispatchRunner(const DispatchRunnerOptions &options)
             wo.outDir = spool.results;
             wo.streamName = task + kStreamSuffix;
             wo.batch = options.batch;
-            // The coordinator decides slice expansion; a runner
-            // re-expanding would publish more results than the task
-            // promises.
+            // The coordinator already expanded checkpoint slices; a
+            // runner re-expanding would publish more results than
+            // the task promises.
             wo.batch.expandSlices = false;
             runWorkerShard(wo);
             fs::rename(claim, spool.doneFile(task), rec);
@@ -366,6 +370,13 @@ struct TaskState
     bool stolen = false;
     /** Seen in some runner's claimed/ directory. */
     bool claimed = false;
+    /** Seen in done/ (and its stream checked for completeness). */
+    bool finished = false;
+    /**
+     * Results read from the stream; distinct, because its single
+     * writer runs each job once.
+     */
+    std::size_t received = 0;
     /**
      * Last observed forward motion: publish, first sighting of the
      * claim, or results arriving on the stream. Drives the
@@ -390,20 +401,11 @@ struct LocalRunner
     bool exited = false;
 };
 
-} // namespace
-
+/** runDispatchCampaign() after validation and slice expansion. */
 void
-runDispatchCampaign(const ExperimentPlan &plan,
-                    const DispatchOptions &options, ResultSink &sink)
+runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
+            ResultSink &sink)
 {
-    validatePlanJobs(plan);
-    if (options.spoolDir.empty() && options.localRunners == 0)
-        fatal("dispatch: a temp spool without local runners can "
-              "never make progress; pass a spool directory or a "
-              "runner count");
-    if (options.maxRetries == 0)
-        fatal("dispatch: at least one attempt per lineage needed");
-
     const bool ownSpool = options.spoolDir.empty();
     std::string root = options.spoolDir;
     if (root.empty())
@@ -521,11 +523,11 @@ runDispatchCampaign(const ExperimentPlan &plan,
     std::size_t spawned = 0;
     const std::size_t spawnBudget =
         options.localRunners * (options.maxRetries + 1);
-    const std::string runnerBin = options.localRunners == 0
-                                      ? std::string()
-                                      : (options.runnerBinary.empty()
-                                             ? selfBinary()
-                                             : options.runnerBinary);
+    const std::string runnerBin = options.runnerBinary.empty()
+                                      ? defaultRunnerBinary()
+                                      : options.runnerBinary;
+    /** How the latest local runner died, for the give-up error. */
+    std::string lastDeath;
     const auto spawnRunner = [&]() {
         LocalRunner lr;
         lr.id = strprintf("local-%zu", spawned);
@@ -540,6 +542,9 @@ runDispatchCampaign(const ExperimentPlan &plan,
             argv.push_back("--cache-dir=" + options.cacheDir);
             argv.push_back("--cache=" + options.cacheMode);
         }
+        if (!options.checkpointDir.empty())
+            argv.push_back("--checkpoint-dir=" +
+                           options.checkpointDir);
         SubprocessOptions so;
         so.stderrPath =
             (fs::path(spool.runners) / (lr.id + ".err")).string();
@@ -551,8 +556,10 @@ runDispatchCampaign(const ExperimentPlan &plan,
                                static_cast<int>(lr.process.pid())));
         locals.push_back(std::move(lr));
     };
-    for (std::size_t i = 0; i < options.localRunners; ++i)
-        spawnRunner();
+    // An empty plan is complete before anyone could claim a thing.
+    if (!plan.jobs.empty())
+        for (std::size_t i = 0; i < options.localRunners; ++i)
+            spawnRunner();
 
     const auto shutdown = [&]() {
         std::ofstream(spool.stopFile) << "stop\n";
@@ -636,6 +643,56 @@ runDispatchCampaign(const ExperimentPlan &plan,
              pieces, gen, why);
     };
 
+    /**
+     * Merge every newly completed envelope of `t`'s stream; @return
+     * whether anything happened (results arrived, or corruption got
+     * the task stolen).
+     */
+    const auto pollTask =
+        [&](TaskState &t, std::chrono::steady_clock::time_point now) {
+            if (t.failed)
+                return false;
+            bool fresh = false;
+            try {
+                std::vector<std::string> payloads;
+                t.reader->poll(payloads);
+                if (!payloads.empty())
+                    t.lastProgress = now;
+                for (std::string &payload : payloads) {
+                    std::istringstream ps(payload, std::ios::binary);
+                    BatchResult r =
+                        deserializeBatchResult(ps, t.reader->path());
+                    // The stream's single writer executes this task,
+                    // so every index must be one of its jobs (sorted
+                    // ascending by plan index).
+                    const std::uint64_t planIdx =
+                        static_cast<std::uint64_t>(r.index);
+                    const auto jt = std::lower_bound(
+                        t.shard.jobs.begin(), t.shard.jobs.end(),
+                        planIdx,
+                        [](const ShardJob &sj, std::uint64_t v) {
+                            return sj.planIndex < v;
+                        });
+                    if (jt == t.shard.jobs.end() ||
+                        jt->planIndex != planIdx)
+                        throwIoError("'%s': result index %zu is not "
+                                     "one of the task's jobs",
+                                     t.reader->path().c_str(),
+                                     r.index);
+                    ++t.received;
+                    if (merger.offer(std::move(r)))
+                        fresh = true;
+                }
+            } catch (const IoError &e) {
+                // Definite corruption: this stream is not
+                // trustworthy past what was already verified.
+                t.failed = true;
+                stealTask(t, e.what());
+                fresh = true;
+            }
+            return fresh;
+        };
+
     // --- Main loop: tail, track liveness, steal ------------------
     PollBackoff backoff(std::chrono::milliseconds(1),
                         std::chrono::milliseconds(100));
@@ -644,48 +701,8 @@ runDispatchCampaign(const ExperimentPlan &plan,
             bool progressed = false;
             const auto now = std::chrono::steady_clock::now();
 
-            for (auto &[task, t] : tasks) {
-                if (t.failed)
-                    continue;
-                try {
-                    std::vector<std::string> payloads;
-                    t.reader->poll(payloads);
-                    if (!payloads.empty())
-                        t.lastProgress = now;
-                    for (std::string &payload : payloads) {
-                        std::istringstream ps(payload,
-                                              std::ios::binary);
-                        BatchResult r = deserializeBatchResult(
-                            ps, t.reader->path());
-                        // The stream's single writer executes this
-                        // task, so every index must be one of its
-                        // jobs (sorted ascending by plan index).
-                        const std::uint64_t planIdx =
-                            static_cast<std::uint64_t>(r.index);
-                        const auto jt = std::lower_bound(
-                            t.shard.jobs.begin(),
-                            t.shard.jobs.end(), planIdx,
-                            [](const ShardJob &sj,
-                               std::uint64_t v) {
-                                return sj.planIndex < v;
-                            });
-                        if (jt == t.shard.jobs.end() ||
-                            jt->planIndex != planIdx)
-                            throwIoError(
-                                "'%s': result index %zu is not "
-                                "one of the task's jobs",
-                                t.reader->path().c_str(), r.index);
-                        if (merger.offer(std::move(r)))
-                            progressed = true;
-                    }
-                } catch (const IoError &e) {
-                    // Definite corruption: this stream is not
-                    // trustworthy past what was already verified.
-                    t.failed = true;
-                    stealTask(t, e.what());
-                    progressed = true;
-                }
-            }
+            for (auto &[task, t] : tasks)
+                progressed |= pollTask(t, now);
             if (merger.complete())
                 break;
 
@@ -723,6 +740,10 @@ runDispatchCampaign(const ExperimentPlan &plan,
                 if (const std::optional<ExitStatus> es =
                         lr.process.poll()) {
                     lr.exited = true;
+                    lastDeath = strprintf(
+                        "runner %s: %s, stderr in %s/%s.err",
+                        lr.id.c_str(), es->describe().c_str(),
+                        spool.runners.c_str(), lr.id.c_str());
                     RunnerTrack &rt = runnerTracks[lr.id];
                     if (!rt.dead) {
                         rt.dead = true;
@@ -758,6 +779,27 @@ runDispatchCampaign(const ExperimentPlan &plan,
                     progressed = true;
                     std::error_code rec;
                     fs::remove(entry.path(), rec); // best effort
+                }
+            }
+
+            // Torn final envelope: a runner moves a task to done/
+            // only after its last append, so a stream still short of
+            // the task's jobs after one more poll will never
+            // complete — steal it now rather than wait out the
+            // stalled-stream watchdog.
+            for (const auto &entry :
+                 fs::directory_iterator(spool.done, ec)) {
+                const auto it =
+                    tasks.find(entry.path().stem().string());
+                if (it == tasks.end() || it->second.finished)
+                    continue;
+                TaskState &t = it->second;
+                t.finished = true;
+                progressed |= pollTask(t, now);
+                if (t.received < t.shard.jobs.size()) {
+                    stealTask(t, "task done with a torn result "
+                                 "stream");
+                    progressed = true;
                 }
             }
 
@@ -823,8 +865,8 @@ runDispatchCampaign(const ExperimentPlan &plan,
                 spawned >= spawnBudget) {
                 shutdown();
                 fatal("dispatch: local runners keep dying (%zu "
-                      "spawns) and none are left",
-                      spawned);
+                      "spawns) and none are left; last: %s",
+                      spawned, lastDeath.c_str());
             }
 
             if (progressed)
@@ -849,6 +891,35 @@ runDispatchCampaign(const ExperimentPlan &plan,
         std::error_code rec;
         fs::remove_all(spool.root, rec); // best effort
     }
+}
+
+} // namespace
+
+void
+runDispatchCampaign(const ExperimentPlan &plan,
+                    const DispatchOptions &options, ResultSink &sink)
+{
+    validatePlanJobs(plan);
+    if (options.spoolDir.empty() && options.localRunners == 0)
+        fatal("dispatch: a temp spool without local runners can "
+              "never make progress; pass a spool directory or a "
+              "runner count");
+    if (options.maxRetries == 0)
+        fatal("dispatch: at least one attempt per lineage needed");
+
+    // Whole-run timelines cannot be stitched from slices, so a traced
+    // campaign runs unexpanded (see BatchOptions::collectTimelines).
+    const std::unique_ptr<ResultCache> checkpoints = openCheckpointDir(
+        options.collectTimelines ? "" : options.checkpointDir);
+    const std::size_t lanes =
+        std::max<std::size_t>(options.localRunners, 1) *
+        std::max<std::size_t>(options.jobsPerRunner, 1);
+    runWithCheckpointSlices(
+        plan, checkpoints.get(), static_cast<std::uint32_t>(lanes),
+        options.progress, sink,
+        [&options](const ExperimentPlan &p, ResultSink &s) {
+            runCampaign(p, options, s);
+        });
 }
 
 } // namespace tp::harness

@@ -12,9 +12,16 @@
  * (harness/worker), and append results to one envelope stream per
  * task; the coordinator live-tails every stream and merges the
  * results through a ResultMerger into any existing ResultSink in
- * plan submission order — the same sink contract BatchRunner and
- * ProcessPool honour, so a distributed campaign's deterministic
- * report is byte-identical to `--jobs=1`.
+ * plan submission order — the same sink contract BatchRunner
+ * honours, so a distributed campaign's deterministic report is
+ * byte-identical to `--jobs=1`.
+ *
+ * This is the only out-of-process executor: a driver's
+ * `--workers=N` is a campaign with N local runners on a temp spool
+ * the coordinator owns (see harness/executor). The coordinator also
+ * owns checkpoint-slice expansion: with a checkpoint store it splits
+ * sampled jobs into slices *before* sharding, so one job's slices
+ * spread across the fleet, and runners restore from the same store.
  *
  * Spool layout (all under one root):
  *
@@ -23,8 +30,9 @@
  *   claimed/<runner>/<task>.tpshard
  *                             tasks a runner owns (claim = rename
  *                             out of queue/, atomic on one fs)
- *   done/<task>.tpshard       tasks a runner finished (best-effort
- *                             completion marker)
+ *   done/<task>.tpshard       tasks a runner finished (completion
+ *                             marker; the task's stream must then
+ *                             hold all its results)
  *   results/<task>.tprs       the task's result stream, appended by
  *                             exactly one runner ever (task names are
  *                             generation-unique, see below)
@@ -56,7 +64,9 @@
  * Orthogonally, a *stalled-stream watchdog* steals claimed tasks
  * whose result stream stops growing (stalledAfter) — the case of a
  * runner that wedges while its heartbeat thread keeps beating,
- * which heartbeat liveness can never catch.
+ * which heartbeat liveness can never catch. A task that reaches
+ * done/ with fewer results on its stream than it has jobs (a torn
+ * final envelope) can never complete, so it is stolen at once.
  */
 
 #ifndef TP_HARNESS_DISPATCH_HH
@@ -186,8 +196,8 @@ struct DispatchOptions
      */
     std::size_t localRunners = 0;
     /**
-     * Binary spawned as a local runner; empty resolves the running
-     * executable (/proc/self/exe), which re-enters runner mode.
+     * Binary spawned as a local runner; empty resolves
+     * defaultRunnerBinary().
      */
     std::string runnerBinary;
     /** --jobs forwarded to each local runner (threads per runner). */
@@ -195,6 +205,13 @@ struct DispatchOptions
     /** Result-cache CLI forwarded to local runners. */
     std::string cacheDir;
     std::string cacheMode = "rw";
+    /**
+     * Warm-state checkpoint store; empty = checkpoints off. The
+     * coordinator expands the plan into checkpoint slices before
+     * sharding (unless collectTimelines), and local runners get
+     * the directory to record and restore through.
+     */
+    std::string checkpointDir;
     /**
      * Cost-model cache probe (not owned, may be nullptr): when set,
      * shards whose every job hits this cache are scheduled first.
@@ -214,12 +231,21 @@ struct DispatchOptions
 };
 
 /**
+ * @return the runner binary local campaigns spawn: taskpoint_dispatch
+ *         next to the running executable (via /proc/self/exe), or
+ *         plain "taskpoint_dispatch" (PATH lookup) when the running
+ *         binary's directory cannot be determined.
+ */
+std::string defaultRunnerBinary();
+
+/**
  * Run `plan` as a distributed campaign (see file comment); blocks
  * until every job's result was merged into `sink` in submission
  * order. Same sink contract as BatchRunner::run; a failed campaign
  * (a lineage exhausting maxRetries, local runners dying faster than
  * they can be replaced) kills every local runner, writes the stop
- * file and raises SimError without sink.end() being called.
+ * file and raises SimError naming the cause, without sink.end()
+ * being called. An empty plan completes without spawning anyone.
  */
 void runDispatchCampaign(const ExperimentPlan &plan,
                          const DispatchOptions &options,
@@ -236,7 +262,10 @@ struct DispatchRunnerOptions
     std::chrono::milliseconds heartbeatInterval{200};
     /** Emit one progress() line per claimed task. */
     bool progress = false;
-    /** Execution environment of claimed tasks (threads, cache). */
+    /**
+     * Execution environment of claimed tasks (threads, cache,
+     * checkpoint store); slice expansion is always off.
+     */
     BatchOptions batch;
 };
 

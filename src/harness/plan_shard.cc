@@ -272,6 +272,31 @@ expandCheckpointSlices(const ExperimentPlan &plan,
     return ex;
 }
 
+void
+runWithCheckpointSlices(const ExperimentPlan &plan,
+                        ResultCache *checkpoints,
+                        std::uint32_t maxSlices, bool announce,
+                        ResultSink &sink,
+                        const std::function<void(const ExperimentPlan &,
+                                                 ResultSink &)> &run)
+{
+    if (checkpoints != nullptr) {
+        CheckpointExpansion ex =
+            expandCheckpointSlices(plan, *checkpoints, maxSlices);
+        if (ex.expanded) {
+            if (announce)
+                progress(strprintf(
+                    "checkpoints: expanded %zu jobs into %zu "
+                    "slice jobs", plan.jobs.size(),
+                    ex.plan.jobs.size()));
+            SliceMergingSink merging(sink, std::move(ex.groups));
+            run(ex.plan, merging);
+            return;
+        }
+    }
+    run(plan, sink);
+}
+
 SliceMergingSink::SliceMergingSink(ResultSink &inner,
                                    std::vector<SliceGroup> groups)
     : inner_(inner), groups_(std::move(groups))

@@ -40,6 +40,7 @@
 #define TP_HARNESS_PLAN_SHARD_HH
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -193,6 +194,23 @@ CheckpointExpansion
 expandCheckpointSlices(const ExperimentPlan &plan,
                        ResultCache &checkpoints,
                        std::uint32_t maxSlices);
+
+/**
+ * Run `plan` through `run`, expanding it first when `checkpoints` is
+ * set: sampled jobs with recorded checkpoints split into at most
+ * `maxSlices` slices each, `run` executes the expanded plan, and a
+ * SliceMergingSink hands `sink` the original plan's result stream.
+ * The one place expansion happens — BatchRunner for in-process runs,
+ * the dispatch coordinator for campaigns, whose runners never
+ * re-expand (a task must publish exactly its own jobs).
+ *
+ * @param announce emit a progress() line when jobs were sliced
+ */
+void runWithCheckpointSlices(
+    const ExperimentPlan &plan, ResultCache *checkpoints,
+    std::uint32_t maxSlices, bool announce, ResultSink &sink,
+    const std::function<void(const ExperimentPlan &, ResultSink &)>
+        &run);
 
 /**
  * Reassembles the result stream of an expanded plan into the stream

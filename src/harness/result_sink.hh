@@ -254,15 +254,13 @@ class TeeSink final : public ResultSink
 
 /**
  * Reassembles an unordered, possibly duplicated result stream into
- * the ordered stream a ResultSink expects — the merge half of every
- * multi-process coordinator (harness/process_pool and
- * harness/dispatch).
+ * the ordered stream a ResultSink expects — the merge half of the
+ * dispatch coordinator (harness/dispatch).
  *
- * Results arrive from concurrently tailed shard streams in whatever
- * order workers finish, and fault handling can produce the same
- * plan index twice: a retried shard republishes results its failed
- * attempt already shipped, and a job stolen from a straggler can be
- * finished by both the thief and the original runner. Executions
+ * Results arrive from concurrently tailed task streams in whatever
+ * order runners finish, and fault handling can produce the same
+ * plan index twice: a job stolen from a straggler can be finished by
+ * both the thief and the original runner. Executions
  * are deterministic, so duplicates are bit-identical by
  * construction; the merger delivers the first arrival of each index
  * and drops the rest, parking out-of-order results until their

@@ -7,7 +7,7 @@
  * ignore everything else, so they compose with the ordinary report
  * sinks through a TeeSink without changing a byte of the CSV/JSON
  * reports. They work identically in-process, under --workers=N and
- * under a dispatch campaign: timelines serialize into the worker
+ * under a dispatch campaign: timelines serialize into the runners'
  * result streams, so the coordinator-side sink merges the slices of
  * a whole campaign into one document.
  *

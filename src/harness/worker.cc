@@ -7,14 +7,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
-#include <vector>
 
 #include "common/binary_io.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
-#include "harness/trace_report.hh"
 #include "sim/result_io.hh"
 
 namespace fs = std::filesystem;
@@ -23,12 +20,29 @@ namespace tp::harness {
 
 namespace {
 
+/** Honour kKillOnceEnvVar (see worker.hh). */
+void
+maybeKillSelfForTest()
+{
+    // After a successful publish, the first runner to claim the
+    // marker file dies by SIGKILL, simulating a crashed machine
+    // mid-task. O_EXCL makes the claim atomic across concurrently
+    // publishing runners.
+    const char *marker = std::getenv(kKillOnceEnvVar);
+    if (marker == nullptr || *marker == '\0')
+        return;
+    const int fd =
+        ::open(marker, O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (fd < 0)
+        return; // someone else claimed it (or the path is bad)
+    ::close(fd);
+    ::raise(SIGKILL);
+}
+
 /**
  * Remaps shard-local result indices to parent-plan indices before
  * forwarding: BatchRunner numbered the shard's jobs 0..n-1, but
- * reports and ordering downstream need the parent-plan index. Sits
- * in front of whatever sinks the worker composes (publisher, local
- * trace writer), so they all observe plan indices.
+ * reports and ordering downstream need the parent-plan index.
  */
 class PlanIndexSink final : public ResultSink
 {
@@ -79,10 +93,9 @@ class StreamPublishingSink final : public ResultSink
     explicit StreamPublishingSink(const std::string &streamPath)
         : out_(streamPath, std::ios::binary), path_(streamPath)
     {
-        // The coordinator guarantees a fresh stream name per shard
-        // attempt (attempt-unique out dirs, steal-generation-unique
-        // task names), so truncating here can never discard results
-        // a tailer already consumed.
+        // The coordinator guarantees a fresh stream name per task
+        // (steal-generation-unique task names), so truncating here
+        // can never discard results a tailer already consumed.
         if (!out_)
             fatal("worker: cannot create result stream '%s'",
                   path_.c_str());
@@ -131,24 +144,6 @@ class StreamPublishingSink final : public ResultSink
 };
 
 } // namespace
-
-void
-maybeKillSelfForTest()
-{
-    // After a successful publish, the first worker to claim the
-    // marker file dies by SIGKILL, simulating a crashed machine
-    // mid-shard. O_EXCL makes the claim atomic across concurrently
-    // publishing workers.
-    const char *marker = std::getenv(kKillOnceEnvVar);
-    if (marker == nullptr || *marker == '\0')
-        return;
-    const int fd =
-        ::open(marker, O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        return; // someone else claimed it (or the path is bad)
-    ::close(fd);
-    ::raise(SIGKILL);
-}
 
 void
 serializeBatchResult(const BatchResult &r, std::ostream &out)
@@ -202,12 +197,6 @@ deserializeBatchResult(std::istream &in, const std::string &name)
     return res;
 }
 
-std::string
-shardStreamFileName(std::uint32_t shardIndex)
-{
-    return strprintf("shard-%u.tprs", shardIndex);
-}
-
 std::size_t
 runWorkerShard(const WorkerOptions &options)
 {
@@ -225,31 +214,14 @@ runWorkerShard(const WorkerOptions &options)
             shard.planDigest.c_str(), shard.jobs.size()));
 
     const ExperimentPlan plan = shardPlan(shard);
-    const std::string stream =
-        options.streamName.empty()
-            ? shardStreamFileName(shard.shardIndex)
-            : options.streamName;
     StreamPublishingSink publish(
-        (fs::path(options.outDir) / stream).string());
-    // A worker-local --trace-out dumps this shard's timeline slice
-    // straight to a file (debugging one shard by hand); coordinators
-    // normally merge the timelines that ride the result stream.
-    std::unique_ptr<ChromeTraceSink> traceOut;
-    std::vector<ResultSink *> sinks;
-    if (!options.traceOutPath.empty()) {
-        traceOut =
-            std::make_unique<ChromeTraceSink>(options.traceOutPath);
-        sinks.push_back(traceOut.get());
-    }
-    sinks.push_back(&publish);
-    TeeSink tee(std::move(sinks));
-    PlanIndexSink sink(shard, tee);
+        (fs::path(options.outDir) / options.streamName).string());
+    PlanIndexSink sink(shard, publish);
     BatchOptions batch = options.batch;
     // shardPlan() pre-resolved the parent's derived seeds, so each
     // workload trace is unique to its job: don't retain them.
     batch.memoizeWorkloadTraces = !shard.deriveSeeds;
-    batch.collectTimelines = shard.collectTimelines ||
-                             !options.traceOutPath.empty();
+    batch.collectTimelines = shard.collectTimelines;
     BatchRunner(batch).run(plan, sink);
     return publish.published();
 }

@@ -1,20 +1,19 @@
 /**
  * @file
- * Worker-side execution of plan shards, and the BatchResult wire
- * format shared with the driver-side coordinators (ProcessPool and
- * harness/dispatch).
+ * Runner-side execution of plan shards, and the BatchResult wire
+ * format shared with the dispatch coordinator (harness/dispatch).
  *
- * The transport is one appendable result stream per shard: the
- * worker runs its shard through the ordinary BatchRunner and appends
- * each finished BatchResult — the serialized result wrapped in
- * sim/result_io's checksummed envelope — to
- * `<outDir>/shard-<k>.tprs`, flushing after every append. The
- * envelope framing concatenates cleanly, so a tailing coordinator
+ * The transport is one appendable result stream per shard task: the
+ * runner executes the task's shard through the ordinary BatchRunner
+ * and appends each finished BatchResult — the serialized result
+ * wrapped in sim/result_io's checksummed envelope — to the task's
+ * stream, flushing after every append. The envelope framing
+ * concatenates cleanly, so a tailing coordinator
  * (sim::EnvelopeStreamReader) consumes complete, checksum-verified
- * results as the stream grows; a worker that dies mid-append leaves
+ * results as the stream grows; a runner that dies mid-append leaves
  * at most an incomplete tail, which the reader treats as
- * not-yet-published, never as data. One stream per shard means a
- * million-job sweep creates O(shards) result files, not O(jobs).
+ * not-yet-published, never as data. One stream per task means a
+ * million-job sweep creates O(tasks) result files, not O(jobs).
  *
  * Result indices are parent-plan indices (ShardJob::planIndex), so
  * the driver reassembles global submission order without knowing the
@@ -24,7 +23,6 @@
 #ifndef TP_HARNESS_WORKER_HH
 #define TP_HARNESS_WORKER_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -37,7 +35,7 @@ namespace tp::harness {
 /**
  * Write one BatchResult (payload only, no framing). Every field —
  * including the optional reference, sampled outcome and comparison —
- * round-trips bit-identically, so a result shipped from a worker is
+ * round-trips bit-identically, so a result shipped from a runner is
  * indistinguishable from one computed in-process.
  */
 void serializeBatchResult(const BatchResult &r, std::ostream &out);
@@ -51,28 +49,18 @@ void serializeBatchResult(const BatchResult &r, std::ostream &out);
 BatchResult deserializeBatchResult(std::istream &in,
                                    const std::string &name);
 
-/** @return the result-stream file name of shard `k` ("shard-k.tprs"). */
-std::string shardStreamFileName(std::uint32_t shardIndex);
-
 /**
  * Name of a test-only environment variable: when set to a path, the
- * first worker process that publishes a result then manages to
+ * first runner process that publishes a result then manages to
  * create that file (O_EXCL, so exactly one across a fleet) kills
- * itself with SIGKILL. Lets the worker and dispatch smoke tests
- * provoke a deterministic mid-shard worker death; unset in normal
+ * itself with SIGKILL. Lets the executor tests and smoke tests
+ * provoke a deterministic mid-task runner death; unset in normal
  * operation.
  */
 inline constexpr const char *kKillOnceEnvVar =
     "TASKPOINT_WORKER_KILL_ONCE";
 
-/**
- * Honour kKillOnceEnvVar (exposed for the dispatch runner, which
- * publishes through the same hook): a no-op unless the variable
- * names a path this process is the first in the fleet to create.
- */
-void maybeKillSelfForTest();
-
-/** Execution options of one worker process. */
+/** Execution options of one shard task. */
 struct WorkerOptions
 {
     /** Serialized PlanShard to execute. */
@@ -80,33 +68,24 @@ struct WorkerOptions
     /** Directory the result stream is appended into (created). */
     std::string outDir;
     /**
-     * File name of the result stream under outDir; empty derives
-     * shardStreamFileName(shard.shardIndex). Dispatch runners
-     * override it with the task name, which additionally encodes
-     * the steal generation (see harness/dispatch).
+     * File name of the result stream under outDir: the dispatch
+     * task name, which also encodes the steal generation (see
+     * harness/dispatch).
      */
     std::string streamName;
-    /**
-     * When nonempty, additionally write this shard's slice of the
-     * execution timeline as a Chrome trace-event JSON to this path
-     * (and force timeline collection on). Coordinators normally
-     * merge the timelines riding the result stream instead; this is
-     * the by-hand debugging path for a single shard.
-     */
-    std::string traceOutPath;
     /** Execution environment (threads, progress, cache). */
     BatchOptions batch;
 };
 
 /**
- * The taskpoint_worker main loop: load the shard, resolve its seeds
- * (see shardPlan), run it, and append one envelope per finished job
- * to the shard's result stream.
+ * Execute one shard task: load the shard, resolve its seeds (see
+ * shardPlan), run it, and append one envelope per finished job to
+ * the task's result stream.
  *
  * @return the number of results published
  * @throws IoError when the shard file is damaged; SimError on
- *         invalid jobs (both exit the worker nonzero, which the
- *         driver treats as a shard failure and retries)
+ *         invalid jobs (both end the runner process, whose claimed
+ *         work the coordinator then steals)
  */
 std::size_t runWorkerShard(const WorkerOptions &options);
 

@@ -94,18 +94,17 @@ std::string readEnvelope(std::istream &in, const std::string &name);
 /**
  * Incremental reader over a *live* stream of concatenated envelopes.
  *
- * The envelope framing concatenates cleanly, so a worker can append
- * one envelope per finished job to a single `shard-<k>.tprs` stream
+ * The envelope framing concatenates cleanly, so a runner can append
+ * one envelope per finished job to its task's single `.tprs` stream
  * file and a coordinator can tail it while it grows — a million-job
- * sweep then produces one result file per shard, not per job. A
+ * sweep then produces one result file per task, not per job. A
  * partially appended tail (the writer died, or the bytes are still in
  * flight) is *not* corruption: poll() consumes every complete,
  * checksum-verified envelope past the cursor and leaves an incomplete
  * tail for the next poll. Bytes that can never become a valid
  * envelope — wrong magic or version, a verifiably wrong checksum, or
  * a stream that shrank below the cursor — raise IoError; the caller
- * treats the whole stream (and hence the shard attempt behind it) as
- * failed.
+ * treats the whole stream (and hence the task behind it) as failed.
  *
  * The reader holds no file handle between polls; it reopens and
  * seeks, so it works over shared filesystems where the writer is

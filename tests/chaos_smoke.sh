@@ -10,9 +10,10 @@
 #     boundary: log once, count it, continue uncached)
 #  C. checkpoint recording + a seeded bit flip in a recorded blob
 #     (the restoring run must cold-replay, not diverge)
-#  D. --workers=2 + short write torn off a worker result stream,
-#     with timeline collection on (shard retry)
-#  E. --workers=2 + exactly one worker SIGKILLed mid-stream
+#  D. --workers=2 + short write torn off the final envelope of a
+#     runner's task stream, with timeline collection on (the task
+#     reaches done/ short of results and is stolen at once)
+#  E. --workers=2 + exactly one runner SIGKILLed mid-stream
 #  F. dispatch campaign + exactly one runner SIGKILLed mid-stream
 #     (dead-runner steal)
 #  G. dispatch campaign + one runner wedged 20s mid-stream while its
@@ -111,21 +112,26 @@ test -n "$(ls -A "$work/ckptC")"
 grep -q "checkpoints: expanded" "$work/C2.err"
 identical "$work/C2.csv"
 
-# --- D: short write torn off a worker stream, timelines on --------
+# --- D: short write torn off a runner stream, timelines on --------
+# Four 2-job tasks: the second append of a runner is the final
+# envelope of its first task.
 cat >"$work/D.plan" <<EOF
 taskpoint-fault-plan v1
 once $work/D.marker
 on worker.stream.append 2 short-write 5
 EOF
+start=$SECONDS
 "$replay" --plan="$work/fig.tpplan" --workers=2 \
     --trace-out="$work/D.trace.json" --fault-plan="$work/D.plan" \
     --csv="$work/D.csv" >"$work/D.txt" 2>"$work/D.err"
 test -f "$work/D.marker.worker.stream.append.2" # fault fired
-grep -q "retrying" "$work/D.err"        # the pool retried the shard
+grep -q "stole" "$work/D.err"           # the torn task was stolen
+# ...at once, not after the 60 s stalled-stream watchdog.
+test $((SECONDS - start)) -lt 30
 identical "$work/D.csv"
 test -s "$work/D.trace.json"            # timelines still merged
 
-# --- E: exactly one worker SIGKILLed mid-stream -------------------
+# --- E: exactly one runner SIGKILLed mid-stream -------------------
 cat >"$work/E.plan" <<EOF
 taskpoint-fault-plan v1
 once $work/E.marker
@@ -135,7 +141,8 @@ EOF
     --fault-plan="$work/E.plan" \
     --csv="$work/E.csv" >"$work/E.txt" 2>"$work/E.err"
 test -f "$work/E.marker.worker.stream.append.1" # fault fired
-grep -q "retrying" "$work/E.err"
+grep -q "died" "$work/E.err"
+grep -q "stole" "$work/E.err"
 identical "$work/E.csv"
 
 # --- F: exactly one dispatch runner SIGKILLed mid-stream ----------

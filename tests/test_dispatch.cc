@@ -5,7 +5,8 @@
  * corruption recoverable), duplicate-idempotent ordered merging,
  * poll backoff, the scheduling cost model, bit-identical steal
  * re-splits, and an in-process coordinator/runner campaign — with
- * and without a dead runner whose work must be stolen.
+ * and without a dead runner whose work must be stolen, and with a
+ * finished task whose final envelope tore.
  */
 
 #include <gtest/gtest.h>
@@ -453,6 +454,102 @@ TEST_F(DispatchE2E, StealsFromDeadRunnerBitIdentically)
     }
     EXPECT_TRUE(sawSteal)
         << "no generation-1 result stream: nothing was stolen";
+    fs::remove_all(spoolDir);
+}
+
+TEST_F(DispatchE2E, TornFinalEnvelopeIsStolenAtOnce)
+{
+    // A runner whose last append tore still moves its task to done/.
+    // The short stream can never complete, so the coordinator must
+    // steal the missing job right away instead of waiting out the
+    // stalled-stream watchdog.
+    const fs::path spoolDir = freshDir("torn");
+    const ExperimentPlan plan = smallPlan(4);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 2;
+    options.heartbeatInterval = milliseconds(20);
+    options.stalledAfter = milliseconds(30000);
+    options.keepSpool = true;
+    SpoolPaths spool(spoolDir.string());
+
+    CollectingSink sink;
+    std::exception_ptr failure;
+    std::thread coordinator([&] {
+        try {
+            runDispatchCampaign(plan, options, sink);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    });
+
+    // Play the torn runner on this thread, before any real runner
+    // exists: claim the schedule-first task and run it privately.
+    std::string task;
+    std::error_code ec;
+    for (int tries = 0; tries < 2000 && task.empty(); ++tries) {
+        std::vector<std::string> queued;
+        for (const auto &entry :
+             fs::directory_iterator(spool.queue, ec))
+            if (parseTaskName(entry.path().stem().string()))
+                queued.push_back(entry.path().stem().string());
+        std::sort(queued.begin(), queued.end());
+        if (!queued.empty()) {
+            fs::create_directories(spool.claimedDir("torn"), ec);
+            fs::rename(spool.queueFile(queued.front()),
+                       spool.claimedFile("torn", queued.front()), ec);
+            if (!ec)
+                task = queued.front();
+        }
+        if (task.empty())
+            std::this_thread::sleep_for(milliseconds(1));
+    }
+    std::size_t published = 0;
+    auto tornAt = std::chrono::steady_clock::now();
+    if (!task.empty()) {
+        WorkerOptions wo;
+        wo.shardPath = spool.claimedFile("torn", task);
+        wo.outDir = (spoolDir / "private").string();
+        wo.streamName = task + ".tprs";
+        published = runWorkerShard(wo);
+        // Cut the final envelope short, publish the stream whole (so
+        // the coordinator never sees it intact), then report done.
+        const fs::path stream = fs::path(wo.outDir) / wo.streamName;
+        fs::resize_file(stream, fs::file_size(stream) - 5);
+        fs::rename(stream, spool.streamFile(task));
+        fs::rename(wo.shardPath, spool.doneFile(task));
+        tornAt = std::chrono::steady_clock::now();
+    }
+
+    std::thread runner([&] {
+        DispatchRunnerOptions ro;
+        ro.spoolDir = options.spoolDir;
+        ro.runnerId = "thread-0";
+        ro.heartbeatInterval = milliseconds(20);
+        (void)runDispatchRunner(ro);
+    });
+    coordinator.join();
+    runner.join();
+    if (failure)
+        std::rethrow_exception(failure);
+
+    ASSERT_FALSE(task.empty()) << "never claimed a task to tear";
+    EXPECT_EQ(published, 2u);
+    EXPECT_LT(std::chrono::steady_clock::now() - tornAt,
+              options.stalledAfter / 3)
+        << "the torn task waited for the stalled-stream watchdog";
+    expectMatchesInProcess(plan, sink.take());
+
+    // The missing job ran again in a generation-1 task.
+    bool sawSteal = false;
+    for (const auto &entry :
+         fs::directory_iterator(spool.results, ec)) {
+        const auto name =
+            parseTaskName(entry.path().stem().string());
+        if (name && name->generation > 0)
+            sawSteal = true;
+    }
+    EXPECT_TRUE(sawSteal) << "the torn task was never stolen";
     fs::remove_all(spoolDir);
 }
 

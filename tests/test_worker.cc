@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests of the multi-process result transport and coordinator: the
+ * Tests of the multi-process result transport and executor: the
  * checksummed result envelope rejects truncated and bit-flipped
  * bytes with recoverable IoError, BatchResults round-trip
- * bit-identically through the wire format, and ProcessPool delivers
- * the same ordered result stream as in-process execution — including
- * with a worker killed mid-shard and with a worker binary that can
- * never succeed.
+ * bit-identically through the wire format, and a local campaign of
+ * spawned runners (`--workers`) delivers the same ordered result
+ * stream as in-process execution — including with a runner killed
+ * mid-task, for an empty plan, and with a runner binary that can
+ * never succeed; executorFromCli() maps the CLI onto it.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,10 @@
 
 #include "common/binary_io.hh"
 #include "common/cli.hh"
+#include "common/fault_injection.hh"
 #include "corruption_battery.hh"
 #include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
+#include "harness/executor.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
 
@@ -139,39 +141,46 @@ TEST(WorkerTransport, BatchResultRoundTripsBitIdentically)
 }
 
 /**
- * ProcessPool against the real taskpoint_worker binary (resolved
- * next to this test binary; both live in the build directory).
+ * Local campaigns — what `--workers=N` runs — against real spawned
+ * taskpoint_dispatch runners (resolved next to this test binary; both
+ * live in the build directory).
  */
-class ProcessPoolE2E : public ::testing::Test
+class LocalCampaignE2E : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        if (!fs::exists(defaultWorkerBinary()))
+        if (!fs::exists(defaultRunnerBinary()))
             GTEST_SKIP()
-                << "taskpoint_worker not found next to the test "
-                   "binary (" << defaultWorkerBinary() << ")";
+                << "taskpoint_dispatch not found next to the test "
+                   "binary (" << defaultRunnerBinary() << ")";
+    }
+
+    static DispatchOptions
+    localRunners(std::size_t n)
+    {
+        DispatchOptions o;
+        o.localRunners = n;
+        return o;
     }
 };
 
-TEST_F(ProcessPoolE2E, MatchesInProcessExecutionOrderedAndExact)
+TEST_F(LocalCampaignE2E, MatchesInProcessExecutionOrderedAndExact)
 {
     const ExperimentPlan plan = smallPlan();
     const std::vector<BatchResult> reference =
         BatchRunner(BatchOptions{}).run(plan);
 
-    ProcessPoolOptions po;
-    po.workers = 3;
     CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
+    Executor(BatchOptions{}, localRunners(3)).run(plan, sink);
     const std::vector<BatchResult> &results = sink.results();
 
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE(reference[i].label);
         EXPECT_EQ(results[i].index, i)
-            << "pool must deliver in submission order";
+            << "campaign must deliver in submission order";
         EXPECT_EQ(results[i].label, reference[i].label);
         ASSERT_EQ(results[i].sampled.has_value(),
                   reference[i].sampled.has_value());
@@ -192,30 +201,37 @@ TEST_F(ProcessPoolE2E, MatchesInProcessExecutionOrderedAndExact)
     }
 }
 
-TEST_F(ProcessPoolE2E, EmptyPlanCompletesWithoutWorkers)
+TEST_F(LocalCampaignE2E, EmptyPlanCompletesWithoutRunners)
 {
-    ProcessPoolOptions po;
-    po.workers = 4;
+    // Every spawn would fail loudly, so completing proves that none
+    // was attempted.
+    fault::installFaultPlan(fault::parseFaultPlan(
+        "taskpoint-fault-plan v1\n"
+        "on subprocess.spawn 1 errno EIO\n",
+        "no-spawn"));
     CollectingSink sink;
-    ProcessPool(po).run(ExperimentPlan{}, sink);
+    EXPECT_NO_THROW(
+        runDispatchCampaign(ExperimentPlan{}, localRunners(4), sink));
+    fault::clearFaultPlan();
     EXPECT_TRUE(sink.results().empty());
 }
 
-TEST_F(ProcessPoolE2E, SurvivesWorkerKilledMidShard)
+TEST_F(LocalCampaignE2E, SurvivesRunnerKilledMidTask)
 {
-    // The kill-once hook makes exactly one worker SIGKILL itself
-    // after its first publish; the pool must retry that shard and
-    // still deliver the full, identical, ordered result set.
+    // The kill-once hook makes exactly one runner SIGKILL itself
+    // after its first publish; the coordinator must steal that
+    // runner's remaining jobs and still deliver the full, identical,
+    // ordered result set.
     const fs::path marker =
-        fs::path(testing::TempDir()) / "tp_pool_kill_once";
+        fs::path(testing::TempDir()) / "tp_campaign_kill_once";
     fs::remove(marker);
     ASSERT_EQ(setenv(kKillOnceEnvVar, marker.c_str(), 1), 0);
 
     const ExperimentPlan plan = smallPlan(6);
-    ProcessPoolOptions po;
-    po.workers = 2; // 3 jobs per shard: death leaves work undone
+    DispatchOptions o = localRunners(2);
+    o.shards = 2; // 3 jobs per task: the death leaves work undone
     CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
+    runDispatchCampaign(plan, o, sink);
 
     unsetenv(kKillOnceEnvVar);
     EXPECT_TRUE(fs::exists(marker))
@@ -232,36 +248,59 @@ TEST_F(ProcessPoolE2E, SurvivesWorkerKilledMidShard)
     }
 }
 
-TEST_F(ProcessPoolE2E, HopelessWorkerBinaryFailsAfterMaxAttempts)
+TEST_F(LocalCampaignE2E, HopelessRunnerBinaryFailsNamingTheCause)
 {
-    ProcessPoolOptions po;
-    po.workers = 1;
-    po.maxAttempts = 2;
-    po.workerBinary = "/bin/false";
+    DispatchOptions o = localRunners(1);
+    o.maxRetries = 2;
+    o.runnerBinary = "/bin/false";
+    // A failed campaign keeps its spool for post-mortems; use one
+    // this test cleans up.
+    const fs::path spool =
+        fs::path(testing::TempDir()) / "tp_campaign_hopeless";
+    fs::remove_all(spool);
+    o.spoolDir = spool.string();
     CollectingSink sink;
-    EXPECT_THROW(ProcessPool(po).run(smallPlan(2), sink), SimError);
+    try {
+        runDispatchCampaign(smallPlan(2), o, sink);
+        ADD_FAILURE() << "a runner that always exits 1 must fail";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("keep dying"), std::string::npos) << what;
+        EXPECT_NE(what.find("exit 1"), std::string::npos) << what;
+    }
+    fs::remove_all(spool);
 }
 
-TEST(ProcessPoolCli, BuildsOptionsFromFlags)
+TEST(ExecutorCli, SelectsCampaignFromFlags)
 {
-    const char *argv[] = {"prog", "--workers=3", "--jobs=2",
-                          "--cache-dir=/tmp/c", "--cache=ro"};
-    const CliArgs args(5, argv,
-                       {workersCliOption(), workerBinCliOption(),
-                        jobsCliOption(), cacheDirCliOption(),
-                        cacheModeCliOption()});
-    const ProcessPoolOptions po = processPoolFromCli(args);
-    EXPECT_EQ(po.workers, 3u);
-    EXPECT_EQ(po.jobsPerWorker, 2u);
-    EXPECT_EQ(po.cacheDir, "/tmp/c");
-    EXPECT_EQ(po.cacheMode, "ro");
+    const std::vector<CliOption> options = {
+        workersCliOption(), jobsCliOption(), maxRetriesCliOption(),
+        cacheDirCliOption(), cacheModeCliOption(),
+        checkpointDirCliOption()};
+
+    const char *argv[] = {"prog",
+                          "--workers=3",
+                          "--jobs=2",
+                          "--max-retries=5",
+                          "--cache-dir=/tmp/c",
+                          "--cache=ro",
+                          "--checkpoint-dir=/tmp/k"};
+    const auto exec = executorFromCli(CliArgs(7, argv, options));
+    ASSERT_TRUE(exec->campaign().has_value());
+    const DispatchOptions &d = *exec->campaign();
+    EXPECT_EQ(d.localRunners, 3u);
+    EXPECT_TRUE(d.spoolDir.empty()) << "--workers owns a temp spool";
+    EXPECT_EQ(d.jobsPerRunner, 2u);
+    EXPECT_EQ(d.maxRetries, 5u);
+    EXPECT_EQ(d.cacheDir, "/tmp/c");
+    EXPECT_EQ(d.cacheMode, "ro");
+    EXPECT_EQ(d.checkpointDir, "/tmp/k");
+    EXPECT_EQ(d.shards, 0u) << "dispatch default: 2 tasks per runner";
+    EXPECT_TRUE(d.runnerBinary.empty());
 
     const char *off[] = {"prog", "--workers=0"};
-    const CliArgs offArgs(2, off,
-                          {workersCliOption(), workerBinCliOption(),
-                           jobsCliOption(), cacheDirCliOption(),
-                           cacheModeCliOption()});
-    EXPECT_EQ(processPoolFromCli(offArgs).workers, 0u)
+    EXPECT_FALSE(
+        executorFromCli(CliArgs(2, off, options))->campaign())
         << "--workers=0 must mean in-process";
 }
 

@@ -2,32 +2,30 @@
 # Smoke test of multi-process execution (`ctest -L worker`):
 #
 #  1. Two figure drivers each run once in-process (--jobs=2) and once
-#     across three spawned taskpoint_worker processes (--workers=3);
-#     the deterministic report (everything before the wall-clock
-#     speedup table) must be byte-identical.
+#     as a local dispatch campaign of three spawned runners
+#     (--workers=3); the deterministic report (everything before the
+#     wall-clock speedup table) must be byte-identical.
 #  2. The first driver runs again with --workers=3 while the
-#     TASKPOINT_WORKER_KILL_ONCE hook makes exactly one worker
-#     SIGKILL itself after its first published result: the pool must
-#     log a retry and the report must still be byte-identical.
+#     TASKPOINT_WORKER_KILL_ONCE hook makes exactly one runner
+#     SIGKILL itself after its first published result: the
+#     coordinator must log the death and the report must still be
+#     byte-identical.
 #  3. replay_plan executes a saved plan in-process and multi-process
 #     with --csv; the deterministic CSV columns must be identical.
 #
 # Usage: worker_roundtrip_smoke.sh <fig-driver-1> <fig-driver-2>
-#                                  <replay-plan> <taskpoint-worker>
+#                                  <replay-plan>
 set -euo pipefail
 
 fig1="$1"
 fig2="$2"
 replay="$3"
-worker="$4"
-test -x "$worker" # the binary every --workers run spawns
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# Two benchmarks x four thread counts = 8 jobs: every one of the
-# three shards holds >= 2 jobs, so a worker killed after its first
-# publish always leaves work behind — the retry is deterministic.
+# Two benchmarks x four thread counts = 8 jobs over six tasks (two
+# per runner).
 common=(--benchmarks=histogram,vector-operation --scale=0.02)
 
 # The deterministic prefix of a figure report: everything up to the
@@ -41,7 +39,7 @@ for fig in "$fig1" "$fig2"; do
         >"$work/$name.inproc.txt" 2>"$work/$name.inproc.err"
     "$fig" "${common[@]}" --workers=3 \
         >"$work/$name.workers.txt" 2>"$work/$name.workers.err"
-    grep -q "pool: shard" "$work/$name.workers.err"
+    grep -q "dispatch: runner local-0 -> pid" "$work/$name.workers.err"
 
     det_prefix "$work/$name.inproc.txt" >"$work/$name.inproc.det"
     det_prefix "$work/$name.workers.txt" >"$work/$name.workers.det"
@@ -49,14 +47,14 @@ for fig in "$fig1" "$fig2"; do
     diff -u "$work/$name.inproc.det" "$work/$name.workers.det"
 done
 
-# 2. Kill one worker mid-run: the shard must be retried and the
-# report must not change by a byte.
+# 2. Kill one runner mid-run: its unfinished jobs are stolen (when it
+# had any left) and the report must not change by a byte.
 name="$(basename "$fig1")"
 TASKPOINT_WORKER_KILL_ONCE="$work/kill.marker" \
     "$fig1" "${common[@]}" --workers=3 \
     >"$work/$name.killed.txt" 2>"$work/$name.killed.err"
 test -f "$work/kill.marker" # the hook actually fired
-grep -q "retrying" "$work/$name.killed.err"
+grep -q "died" "$work/$name.killed.err"
 det_prefix "$work/$name.killed.txt" >"$work/$name.killed.det"
 diff -u "$work/$name.inproc.det" "$work/$name.killed.det"
 

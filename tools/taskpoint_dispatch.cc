@@ -14,8 +14,9 @@
  *                      [--stalled-after=MS] [--csv=FILE]
  *                      [--json=FILE] [--trace-out=FILE]
  *                      [--trace-stats=FILE] [--cache-dir=DIR]
- *                      [--cache=off|ro|rw] [--fault-plan=FILE]
- *                      [--cost-probe] [--keep-spool]
+ *                      [--cache=off|ro|rw] [--checkpoint-dir=DIR]
+ *                      [--fault-plan=FILE] [--cost-probe]
+ *                      [--keep-spool]
  *
  * Runner: join an existing spool (possibly on another machine via a
  * shared filesystem), claim tasks, execute them, stream results
@@ -24,8 +25,11 @@
  *   taskpoint_dispatch --runner --spool=DIR [--runner-id=NAME]
  *                      [--jobs=N] [--heartbeat=MS] [--quiet]
  *                      [--cache-dir=DIR] [--cache=off|ro|rw]
+ *                      [--checkpoint-dir=DIR]
  *
- * See README "Distributed campaigns" for the spool contract.
+ * Every driver's `--workers=N` spawns this binary's runner role too.
+ * See README "Multi-process and distributed campaigns" for the spool
+ * contract.
  */
 
 #include <chrono>
@@ -35,11 +39,9 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "harness/dispatch.hh"
+#include "harness/executor.hh"
 #include "harness/job_spec.hh"
 #include "harness/result_cache.hh"
-#include "harness/result_sink.hh"
-#include "harness/trace_report.hh"
 
 using namespace tp;
 
@@ -59,9 +61,13 @@ runnerMain(const CliArgs &args)
 
     const std::unique_ptr<harness::ResultCache> cache =
         harness::resultCacheFromCli(args);
+    const std::unique_ptr<harness::ResultCache> checkpoints =
+        harness::openCheckpointDir(
+            args.getString(kCheckpointDirOption, ""));
     ro.batch.jobs = jobsFlag(args, 1);
     ro.batch.progress = false; // per-job lines drown the heartbeat
     ro.batch.cache = cache.get();
+    ro.batch.checkpoints = checkpoints.get();
 
     const std::size_t executed = harness::runDispatchRunner(ro);
     if (ro.progress)
@@ -84,79 +90,13 @@ coordinatorMain(const CliArgs &args)
                 plan.jobs.size(),
                 harness::planDigest(plan).c_str());
 
-    harness::DispatchOptions dopt;
-    dopt.spoolDir = args.getString("spool", "");
-    dopt.shards = static_cast<std::uint32_t>(
-        args.getUintIn("shards", 0, 1, 9999));
-    dopt.maxRetries = maxRetriesFlag(args);
-    dopt.heartbeatInterval = std::chrono::milliseconds(
-        args.getUintIn("heartbeat", 200, 10, 60000));
-    dopt.deadAfter = std::chrono::milliseconds(
-        args.getUintIn("dead-after", 2000, 50, 600000));
-    dopt.stalledAfter = std::chrono::milliseconds(
-        args.getUintIn("stalled-after", 0, 0, 3600000));
-    dopt.localRunners =
-        static_cast<std::size_t>(args.getUintIn("runners", 0, 0, 256));
-    dopt.runnerBinary = args.getString("runner-bin", "");
-    dopt.jobsPerRunner = jobsFlag(args, 1);
-    dopt.cacheDir = args.getString(kCacheDirOption, "");
-    dopt.cacheMode = args.getString(
-        kCacheModeOption, dopt.cacheDir.empty() ? "off" : "rw");
-    if (dopt.cacheMode == "off")
-        dopt.cacheDir.clear();
-    dopt.progress = true;
-    dopt.keepSpool = args.has("keep-spool");
-    // Trace sinks live here on the coordinator; the shard tasks only
-    // carry the "record timelines" bit to the runner fleet.
-    const std::string traceOut = args.getString(kTraceOutOption, "");
-    const std::string traceStats =
-        args.getString(kTraceStatsOption, "");
-    dopt.collectTimelines =
-        !traceOut.empty() || !traceStats.empty();
-
-    std::unique_ptr<harness::ResultCache> probe;
-    if (args.has("cost-probe")) {
-        if (dopt.cacheDir.empty())
-            fatal("--cost-probe needs a result cache "
-                  "(--cache-dir) to probe");
-        probe = harness::resultCacheFromCli(args);
-        dopt.probeCache = probe.get();
-    }
-
-    harness::TableSink table("dispatched plan " + path);
-    harness::StatsSink stats;
-    std::vector<harness::ResultSink *> sinks = {&table, &stats};
-    std::unique_ptr<harness::CsvSink> csv;
-    if (const std::string f = args.getString("csv", ""); !f.empty())
-        sinks.push_back(
-            (csv = std::make_unique<harness::CsvSink>(f)).get());
-    std::unique_ptr<harness::JsonSink> json;
-    if (const std::string f = args.getString("json", ""); !f.empty())
-        sinks.push_back(
-            (json = std::make_unique<harness::JsonSink>(f)).get());
-    std::unique_ptr<harness::ChromeTraceSink> trace;
-    if (!traceOut.empty())
-        sinks.push_back(
-            (trace = std::make_unique<harness::ChromeTraceSink>(
-                 traceOut))
-                .get());
-    std::unique_ptr<harness::TimelineStatsSink> coreStats;
-    if (!traceStats.empty())
-        sinks.push_back(
-            (coreStats =
-                 std::make_unique<harness::TimelineStatsSink>(
-                     traceStats))
-                .get());
-    harness::TeeSink tee(std::move(sinks));
-
-    harness::runDispatchCampaign(plan, dopt, tee);
-
-    if (stats.errorStats().count() > 0) {
-        const RunningStats &err = stats.errorStats();
-        std::printf("error over %zu comparisons: mean %.2f%%, "
-                    "max %.2f%%\n",
-                    err.count(), err.mean(), err.max());
-    }
+    const std::unique_ptr<harness::Executor> executor =
+        harness::executorFromCli(args);
+    if (!executor->campaign())
+        fatal("a campaign needs --spool=DIR or --runners=N "
+              "(see --help)");
+    harness::runPlanReport("dispatched plan " + path, plan, *executor,
+                           args);
     return 0;
 }
 
@@ -184,8 +124,8 @@ main(int argc, char **argv)
              {"runner-id",
               "runner identity in the spool (default host-pid)"},
              {"runner-bin",
-              "binary spawned as a local runner (default: this "
-              "executable)"},
+              "binary spawned as a local runner (default: "
+              "taskpoint_dispatch next to this executable)"},
              {"heartbeat",
               "runner heartbeat interval in ms (default 200)"},
              {"dead-after",
@@ -207,8 +147,8 @@ main(int argc, char **argv)
              {"quiet", "suppress runner progress lines"},
              jobsCliOption(), maxRetriesCliOption(),
              cacheDirCliOption(), cacheModeCliOption(),
-             traceOutCliOption(), traceStatsCliOption(),
-             faultPlanCliOption()});
+             checkpointDirCliOption(), traceOutCliOption(),
+             traceStatsCliOption(), faultPlanCliOption()});
         if (args.has("runner"))
             return runnerMain(args);
         return coordinatorMain(args);
