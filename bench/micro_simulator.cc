@@ -2,11 +2,13 @@
  * @file
  * Micro-benchmarks of the simulator substrate (google-benchmark):
  * cache lookups, synthetic instruction-stream generation, detailed
- * core throughput, and end-to-end engine runs in both modes.
+ * core throughput, the cost of an inactive fault-injection site, and
+ * end-to-end engine runs in both modes.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/fault_injection.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "cpu/rob_core.hh"
@@ -156,6 +158,36 @@ BM_EngineEventQueue(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EngineEventQueue);
+
+/**
+ * One out-of-line call per iteration, so the benchmark times the
+ * FAULT_POINT macro as instrumented sites use it, not a hoisted
+ * remnant of it.
+ */
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+std::uint64_t
+faultPointOnce(std::uint64_t i)
+{
+    FAULT_POINT("bench.fault.probe");
+    return i;
+}
+
+/**
+ * Per-call cost of a FAULT_POINT with no fault plan installed: the
+ * fault hooks' zero-overhead-when-off contract (one relaxed atomic
+ * load per site).
+ */
+void
+BM_FaultPointInactive(benchmark::State &state)
+{
+    fault::clearFaultPlan();
+    std::uint64_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(faultPointOnce(i++));
+}
+BENCHMARK(BM_FaultPointInactive);
 
 void
 BM_DetailedCoreThroughput(benchmark::State &state)

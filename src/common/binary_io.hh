@@ -8,7 +8,8 @@
  * length-prefixed strings. Files are not portable across byte
  * orders — traces and cache directories are shared between
  * same-endianness hosts only (everything this project targets is
- * little-endian).
+ * little-endian). StateIo layers one declaration per checkpointed
+ * component over either of them (see sim/checkpoint.hh).
  *
  * Corruption handling: readers throw IoError — a *recoverable*
  * subclass of SimError — on truncation or implausible lengths, never
@@ -21,11 +22,14 @@
 #ifndef TP_COMMON_BINARY_IO_HH
 #define TP_COMMON_BINARY_IO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -68,7 +72,15 @@ class BinaryWriter
     str(const std::string &s)
     {
         pod<std::uint64_t>(s.size());
-        out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        bytes(s.data(), s.size());
+    }
+
+    /** Write `n` raw bytes in one call. */
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        out_.write(static_cast<const char *>(p),
+                   static_cast<std::streamsize>(n));
     }
 
     /** @return whether every write so far succeeded. */
@@ -100,9 +112,7 @@ class BinaryReader
     pod()
     {
         T v{};
-        in_.read(reinterpret_cast<char *>(&v), sizeof(T));
-        if (!in_)
-            throwIoError("'%s': file truncated", name_.c_str());
+        bytes(&v, sizeof(T));
         return v;
     }
 
@@ -113,10 +123,17 @@ class BinaryReader
         if (n > (1ULL << 20))
             throwIoError("'%s': corrupt string length", name_.c_str());
         std::string s(n, '\0');
-        in_.read(s.data(), static_cast<std::streamsize>(n));
+        bytes(s.data(), n);
+        return s;
+    }
+
+    /** Read exactly `n` raw bytes in one call. */
+    void
+    bytes(void *p, std::size_t n)
+    {
+        in_.read(static_cast<char *>(p), static_cast<std::streamsize>(n));
         if (!in_)
             throwIoError("'%s': file truncated", name_.c_str());
-        return s;
     }
 
     /**
@@ -177,6 +194,129 @@ readBool(BinaryReader &r)
                      r.name().c_str());
     return b == 1;
 }
+
+/**
+ * One declaration of a component's checkpoint state for both
+ * directions (see sim/checkpoint.hh).
+ *
+ * A component lists each field once, in order, in
+ * `void state(StateIo &io)`. Over a BinaryWriter the calls write the
+ * fields; over a BinaryReader the same calls read them back into the
+ * same members, so save and load cannot drift apart. Steps that only
+ * happen on load — range checks, rebuilding derived members — go
+ * under `if (io.loading())`.
+ */
+class StateIo
+{
+  public:
+    explicit StateIo(BinaryWriter &w) : w_(&w) {}
+    explicit StateIo(BinaryReader &r) : r_(&r) {}
+
+    /** @return true when reading a checkpoint into the members. */
+    bool loading() const { return r_ != nullptr; }
+
+    /**
+     * One POD field, stored as its own type or, when given, as
+     * `Wire` (e.g. a size_t member kept as u64 on disk).
+     */
+    template <typename Wire = void, typename T>
+    void
+    pod(T &v)
+    {
+        using W = std::conditional_t<std::is_void_v<Wire>, T, Wire>;
+        if (w_ != nullptr)
+            w_->pod<W>(static_cast<W>(v));
+        else
+            v = static_cast<T>(r_->pod<W>());
+    }
+
+    /** A bool (or bool-like, e.g. vector<bool> element) field. */
+    template <typename B>
+    void
+    flag(B &&b)
+    {
+        if (w_ != nullptr)
+            writeBool(*w_, static_cast<bool>(b));
+        else
+            b = readBool(*r_);
+    }
+
+    /** A u8 enum field; on load anything past `last` is corrupt. */
+    template <typename E>
+    void
+    tag(E &e, E last, const char *what)
+    {
+        auto raw = static_cast<std::uint8_t>(e);
+        pod(raw);
+        if (loading()) {
+            if (raw > static_cast<std::uint8_t>(last))
+                corrupt(what);
+            e = static_cast<E>(raw);
+        }
+    }
+
+    /** A fixed-length array of PODs (vector, std::array), one call. */
+    template <typename C>
+    void
+    block(C &c)
+    {
+        static_assert(std::is_trivially_copyable_v<
+                      std::remove_reference_t<decltype(*std::data(c))>>);
+        const std::size_t n = std::size(c) * sizeof(*std::data(c));
+        if (w_ != nullptr)
+            w_->bytes(std::data(c), n);
+        else
+            r_->bytes(std::data(c), n);
+    }
+
+    /**
+     * A geometry count fixed by construction, stored as u64; on load
+     * throws IoError naming `what` unless the stored one matches.
+     */
+    void
+    count(std::uint64_t n, const char *what)
+    {
+        std::uint64_t stored = n;
+        pod(stored);
+        if (stored != n)
+            throwIoError("'%s': %s mismatch (%llu stored, %llu "
+                         "configured)",
+                         r_->name().c_str(), what,
+                         static_cast<unsigned long long>(stored),
+                         static_cast<unsigned long long>(n));
+    }
+
+    /**
+     * The length of a variable-length sequence `c`, stored as u64.
+     * On load `c` is resized to it, after bounding it by the bytes
+     * left (each element takes at least `min_bytes`).
+     */
+    template <typename C>
+    void
+    length(C &c, std::size_t min_bytes, const char *what)
+    {
+        std::uint64_t n = c.size();
+        pod(n);
+        if (loading()) {
+            if (n > r_->remainingBytes() / min_bytes)
+                corrupt(what);
+            c.resize(static_cast<std::size_t>(n));
+        }
+    }
+
+    /** Throw IoError: the checkpoint being read has a corrupt `what`. */
+    [[noreturn]] void
+    corrupt(const char *what) const
+    {
+        throwIoError("'%s': corrupt %s",
+                     r_ != nullptr ? r_->name().c_str() : "checkpoint",
+                     what);
+    }
+
+  private:
+    BinaryWriter *w_ = nullptr;
+    BinaryReader *r_ = nullptr;
+};
 
 } // namespace tp
 

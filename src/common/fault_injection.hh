@@ -15,8 +15,8 @@
  * Activation mirrors the trace observers' null-object discipline:
  * with no plan installed, a FAULT_POINT compiles to one relaxed
  * atomic pointer load and a never-taken branch — the hot paths pay
- * nothing (perf_smoke's fault-overhead probe holds this to within
- * noise). Plans load from `--fault-plan=<file>` or the
+ * nothing (the BM_FaultPointInactive micro benchmark in
+ * bench/micro_simulator.cc measures the per-call cost). Plans load from `--fault-plan=<file>` or the
  * TASKPOINT_FAULT_PLAN environment variable; the CLI layer exports
  * the variable so spawned workers and runners inherit the plan,
  * and an optional `once` marker prefix arbitrates fleet-wide faults

@@ -20,6 +20,7 @@
 #define TP_COMMON_FLAT_MAP_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,37 +107,25 @@ class FlatMap64
      * Serialize capacity, entry count and the raw slot array (V must
      * be a POD value type). Saving the slots verbatim preserves the
      * probe layout, so a restored map behaves exactly like the saved
-     * one — including when the next grow() triggers.
+     * one — including when the next grow() triggers. Throws IoError
+     * on an implausible stored geometry.
      */
     void
-    save(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        w.pod<std::uint64_t>(slots_.size());
-        w.pod<std::uint64_t>(count_);
-        for (const Slot &s : slots_) {
-            w.pod(s.key);
-            w.pod(s.value);
+        std::uint64_t cap = slots_.size();
+        io.pod(cap);
+        io.pod<std::uint64_t>(count_);
+        if (io.loading()) {
+            if (cap < 16 || (cap & (cap - 1)) != 0 || count_ > cap ||
+                cap > (1ULL << 40))
+                io.corrupt("flat-map geometry");
+            slots_.assign(static_cast<std::size_t>(cap), Slot{});
+            mask_ = static_cast<std::size_t>(cap) - 1;
         }
-    }
-
-    /** Exact inverse of save(); throws IoError on implausible data. */
-    void
-    load(BinaryReader &r)
-    {
-        const auto cap = r.pod<std::uint64_t>();
-        const auto count = r.pod<std::uint64_t>();
-        if (cap < 16 || (cap & (cap - 1)) != 0 || count > cap ||
-            cap > (1ULL << 40)) {
-            throwIoError("'%s': corrupt flat-map geometry",
-                         r.name().c_str());
-        }
-        slots_.assign(static_cast<std::size_t>(cap), Slot{});
-        mask_ = static_cast<std::size_t>(cap) - 1;
-        for (Slot &s : slots_) {
-            s.key = r.pod<std::uint64_t>();
-            s.value = r.pod<V>();
-        }
-        count_ = static_cast<std::size_t>(count);
+        static_assert(std::has_unique_object_representations_v<Slot>,
+                      "slots are stored as their raw bytes");
+        io.block(slots_);
     }
 
   private:

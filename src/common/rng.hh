@@ -123,22 +123,11 @@ class Rng
      * would have — required for warm-state checkpoints.
      */
     void
-    save(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        for (const std::uint64_t s : state_)
-            w.pod(s);
-        w.pod(spareNormal_);
-        writeBool(w, hasSpare_);
-    }
-
-    /** Exact inverse of save(). */
-    void
-    load(BinaryReader &r)
-    {
-        for (std::uint64_t &s : state_)
-            s = r.pod<std::uint64_t>();
-        spareNormal_ = r.pod<double>();
-        hasSpare_ = readBool(r);
+        io.block(state_);
+        io.pod(spareNormal_);
+        io.flag(hasSpare_);
     }
 
     /**

@@ -154,24 +154,13 @@ class RunningStats
 
     /** Serialize the accumulator state (for warm-state checkpoints). */
     void
-    save(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        w.pod<std::uint64_t>(n_);
-        w.pod(mean_);
-        w.pod(m2_);
-        w.pod(min_);
-        w.pod(max_);
-    }
-
-    /** Exact inverse of save(). */
-    void
-    load(BinaryReader &r)
-    {
-        n_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
-        mean_ = r.pod<double>();
-        m2_ = r.pod<double>();
-        min_ = r.pod<double>();
-        max_ = r.pod<double>();
+        io.pod<std::uint64_t>(n_);
+        io.pod(mean_);
+        io.pod(m2_);
+        io.pod(min_);
+        io.pod(max_);
     }
 
   private:

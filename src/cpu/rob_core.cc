@@ -191,73 +191,43 @@ RobCore::step(InstCount quantum)
 }
 
 void
-RobCore::saveState(BinaryWriter &w) const
+RobCore::state(StateIo &io, const trace::TaskType *type,
+               const trace::TaskInstance *inst)
 {
-    writeBool(w, stream_.has_value());
-    if (stream_.has_value())
-        stream_->saveState(w);
-    w.pod(taskStart_);
-    w.pod(lastEventCycle_);
-    w.pod(lastCommit_);
-    w.pod(dispatch_.cycle);
-    w.pod<std::uint32_t>(dispatch_.used);
-    w.pod(commit_.cycle);
-    w.pod<std::uint32_t>(commit_.used);
-    for (const Cycles c : rob_)
-        w.pod(c);
-    w.pod<std::uint64_t>(robHead_);
-    w.pod<std::uint64_t>(robCount_);
-    for (const Cycles c : hist_)
-        w.pod(c);
-    w.pod(instIndex_);
-    w.pod(stats_.instructions);
-    w.pod(stats_.cycles);
-    w.pod(stats_.loads);
-    w.pod(stats_.stores);
-    w.pod(stats_.l1Misses);
-}
-
-void
-RobCore::loadState(BinaryReader &r, const trace::TaskType *type,
-                   const trace::TaskInstance *inst)
-{
-    const bool has_stream = readBool(r);
-    if (has_stream) {
-        if (type == nullptr || inst == nullptr) {
-            throwIoError("'%s': core %u has an in-flight stream but "
-                         "no task to rebuild it from",
-                         r.name().c_str(), id_);
-        }
-        stream_.emplace(*type, *inst);
-        stream_->loadState(r);
-    } else {
+    bool has_stream = stream_.has_value();
+    io.flag(has_stream);
+    if (io.loading()) {
         stream_.reset();
+        if (has_stream) {
+            if (type == nullptr || inst == nullptr)
+                io.corrupt("core state (in-flight stream, no task)");
+            stream_.emplace(*type, *inst);
+        }
+        dispatch_.width = config_.issueWidth;
+        commit_.width = config_.commitWidth;
     }
-    taskStart_ = r.pod<Cycles>();
-    lastEventCycle_ = r.pod<Cycles>();
-    lastCommit_ = r.pod<Cycles>();
-    dispatch_.cycle = r.pod<Cycles>();
-    dispatch_.used = r.pod<std::uint32_t>();
-    dispatch_.width = config_.issueWidth;
-    commit_.cycle = r.pod<Cycles>();
-    commit_.used = r.pod<std::uint32_t>();
-    commit_.width = config_.commitWidth;
-    for (Cycles &c : rob_)
-        c = r.pod<Cycles>();
-    const auto head = r.pod<std::uint64_t>();
-    const auto count = r.pod<std::uint64_t>();
-    if (head >= rob_.size() || count > rob_.size())
-        throwIoError("'%s': corrupt ROB pointers", r.name().c_str());
-    robHead_ = static_cast<std::size_t>(head);
-    robCount_ = static_cast<std::size_t>(count);
-    for (Cycles &c : hist_)
-        c = r.pod<Cycles>();
-    instIndex_ = r.pod<std::uint64_t>();
-    stats_.instructions = r.pod<InstCount>();
-    stats_.cycles = r.pod<Cycles>();
-    stats_.loads = r.pod<std::uint64_t>();
-    stats_.stores = r.pod<std::uint64_t>();
-    stats_.l1Misses = r.pod<std::uint64_t>();
+    if (stream_.has_value())
+        stream_->state(io);
+    io.pod(taskStart_);
+    io.pod(lastEventCycle_);
+    io.pod(lastCommit_);
+    io.pod(dispatch_.cycle);
+    io.pod(dispatch_.used);
+    io.pod(commit_.cycle);
+    io.pod(commit_.used);
+    io.block(rob_);
+    io.pod<std::uint64_t>(robHead_);
+    io.pod<std::uint64_t>(robCount_);
+    if (io.loading() &&
+        (robHead_ >= rob_.size() || robCount_ > rob_.size()))
+        io.corrupt("ROB pointers");
+    io.block(hist_);
+    io.pod(instIndex_);
+    io.pod(stats_.instructions);
+    io.pod(stats_.cycles);
+    io.pod(stats_.loads);
+    io.pod(stats_.stores);
+    io.pod(stats_.l1Misses);
 }
 
 Cycles

@@ -93,22 +93,17 @@ class RobCore
     ThreadId id() const { return id_; }
 
     /**
-     * Serialize the resumable core state: the in-flight instruction
-     * stream position (if any), the pipeline clocks, ROB/history
-     * contents and the per-task statistics. Configuration is fixed
-     * by construction and not serialized.
+     * Checkpoint state: the in-flight instruction stream position
+     * (if any), the pipeline clocks, ROB/history contents and the
+     * per-task statistics. Configuration is fixed by construction
+     * and not serialized. On load, when the saved core had a task in
+     * flight, `type`/`inst` must name that task (the engine knows it
+     * from its own restored per-core state) so the instruction
+     * stream can be rebuilt; they may be null otherwise. Throws
+     * IoError on inconsistency.
      */
-    void saveState(BinaryWriter &w) const;
-
-    /**
-     * Exact inverse of saveState(). When the saved core had a task
-     * in flight, `type`/`inst` must name that task (the engine knows
-     * it from its own restored per-core state) so the instruction
-     * stream can be reconstructed; they may be null otherwise.
-     * Throws IoError on inconsistency.
-     */
-    void loadState(BinaryReader &r, const trace::TaskType *type,
-                   const trace::TaskInstance *inst);
+    void state(StateIo &io, const trace::TaskType *type,
+               const trace::TaskInstance *inst);
 
   private:
     /** Track a width-limited per-cycle resource (dispatch/commit). */

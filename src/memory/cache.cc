@@ -158,49 +158,21 @@ Cache::ageLines(std::uint64_t lines)
 }
 
 void
-Cache::saveState(BinaryWriter &w) const
+Cache::state(StateIo &io)
 {
-    w.pod<std::uint64_t>(tags_.size());
-    for (const std::uint64_t t : tags_)
-        w.pod(t);
-    for (const std::uint64_t l : lru_)
-        w.pod(l);
-    w.pod(lruTick_);
-    w.pod(ageCursor_);
-    w.pod(nextJunkTag_);
-    w.pod(stats_.accesses);
-    w.pod(stats_.hits);
-    w.pod(stats_.misses);
-    w.pod(stats_.evictions);
-    w.pod(stats_.writebacks);
-    w.pod(stats_.invalidations);
-    w.pod(stats_.prefetchFills);
-}
-
-void
-Cache::loadState(BinaryReader &r)
-{
-    const auto n = r.pod<std::uint64_t>();
-    if (n != tags_.size())
-        throwIoError("'%s': cache '%s' geometry mismatch "
-                     "(%llu ways stored, %zu configured)",
-                     r.name().c_str(), name_.c_str(),
-                     static_cast<unsigned long long>(n),
-                     tags_.size());
-    for (std::uint64_t &t : tags_)
-        t = r.pod<std::uint64_t>();
-    for (std::uint64_t &l : lru_)
-        l = r.pod<std::uint64_t>();
-    lruTick_ = r.pod<std::uint64_t>();
-    ageCursor_ = r.pod<std::uint64_t>();
-    nextJunkTag_ = r.pod<Addr>();
-    stats_.accesses = r.pod<std::uint64_t>();
-    stats_.hits = r.pod<std::uint64_t>();
-    stats_.misses = r.pod<std::uint64_t>();
-    stats_.evictions = r.pod<std::uint64_t>();
-    stats_.writebacks = r.pod<std::uint64_t>();
-    stats_.invalidations = r.pod<std::uint64_t>();
-    stats_.prefetchFills = r.pod<std::uint64_t>();
+    io.count(tags_.size(), ("cache '" + name_ + "' way count").c_str());
+    io.block(tags_);
+    io.block(lru_);
+    io.pod(lruTick_);
+    io.pod(ageCursor_);
+    io.pod(nextJunkTag_);
+    io.pod(stats_.accesses);
+    io.pod(stats_.hits);
+    io.pod(stats_.misses);
+    io.pod(stats_.evictions);
+    io.pod(stats_.writebacks);
+    io.pod(stats_.invalidations);
+    io.pod(stats_.prefetchFills);
 }
 
 double

@@ -170,15 +170,13 @@ class Cache
     std::uint64_t numSets() const { return numSets_; }
 
     /**
-     * Serialize the warm state: packed tag words, LRU ticks and the
+     * Checkpoint state: packed tag words, LRU ticks and the
      * replacement/aging counters, plus the statistics (cumulative
      * counters must survive a checkpoint restore bit-identically).
-     * Geometry is not serialized — it is fixed by construction.
+     * Geometry is fixed by construction; only the way count is
+     * stored, and a mismatch throws IoError on load.
      */
-    void saveState(BinaryWriter &w) const;
-
-    /** Exact inverse of saveState(); throws IoError on mismatch. */
-    void loadState(BinaryReader &r);
+    void state(StateIo &io);
 
   private:
     /**

@@ -75,22 +75,13 @@ class ServicePort
                          : 0.0;
     }
 
-    /** Serialize reservation + counter state (period is fixed). */
+    /** Checkpoint reservation + counter state (period is fixed). */
     void
-    saveState(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        w.pod(nextFree_);
-        w.pod(requests_);
-        w.pod(totalQueueCycles_);
-    }
-
-    /** Exact inverse of saveState(). */
-    void
-    loadState(BinaryReader &r)
-    {
-        nextFree_ = r.pod<Cycles>();
-        requests_ = r.pod<std::uint64_t>();
-        totalQueueCycles_ = r.pod<Cycles>();
+        io.pod(nextFree_);
+        io.pod(requests_);
+        io.pod(totalQueueCycles_);
     }
 
   private:
@@ -134,20 +125,12 @@ class Dram
     /** @return configuration. */
     const DramConfig &config() const { return config_; }
 
-    /** Serialize every channel's reservation state. */
+    /** Checkpoint every channel's state (channel count is fixed). */
     void
-    saveState(BinaryWriter &w) const
-    {
-        for (const ServicePort &p : channels_)
-            p.saveState(w);
-    }
-
-    /** Exact inverse of saveState() (channel count is fixed). */
-    void
-    loadState(BinaryReader &r)
+    state(StateIo &io)
     {
         for (ServicePort &p : channels_)
-            p.loadState(r);
+            p.state(io);
     }
 
   private:

@@ -233,44 +233,23 @@ Hierarchy::reset()
 }
 
 void
-Hierarchy::saveState(BinaryWriter &w) const
-{
-    for (const Cache &c : l1s_)
-        c.saveState(w);
-    for (const Cache &c : l2s_)
-        c.saveState(w);
-    if (l3_)
-        l3_->saveState(w);
-    dram_.saveState(w);
-    bus_.saveState(w);
-    l2Port_.saveState(w);
-    l3Port_.saveState(w);
-    sharers_.save(w);
-    w.pod(coherenceInvalidations_);
-    for (const Prefetcher &pf : prefetchers_) {
-        w.pod(pf.lastLine);
-        w.pod(pf.lastDelta);
-    }
-}
-
-void
-Hierarchy::loadState(BinaryReader &r)
+Hierarchy::state(StateIo &io)
 {
     for (Cache &c : l1s_)
-        c.loadState(r);
+        c.state(io);
     for (Cache &c : l2s_)
-        c.loadState(r);
+        c.state(io);
     if (l3_)
-        l3_->loadState(r);
-    dram_.loadState(r);
-    bus_.loadState(r);
-    l2Port_.loadState(r);
-    l3Port_.loadState(r);
-    sharers_.load(r);
-    coherenceInvalidations_ = r.pod<std::uint64_t>();
+        l3_->state(io);
+    dram_.state(io);
+    bus_.state(io);
+    l2Port_.state(io);
+    l3Port_.state(io);
+    sharers_.state(io);
+    io.pod(coherenceInvalidations_);
     for (Prefetcher &pf : prefetchers_) {
-        pf.lastLine = r.pod<std::int64_t>();
-        pf.lastDelta = r.pod<std::int64_t>();
+        io.pod(pf.lastLine);
+        io.pod(pf.lastDelta);
     }
 }
 

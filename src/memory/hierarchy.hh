@@ -137,16 +137,14 @@ class Hierarchy
     const MemoryConfig &config() const { return config_; }
 
     /**
-     * Serialize the complete warm state: every cache's tag/LRU
+     * Checkpoint the complete warm state: every cache's tag/LRU
      * arrays, all port and DRAM reservations, the sharers directory,
      * the coherence counter and the per-core prefetcher detectors.
      * Geometry (configuration, core count) is not serialized; the
-     * restoring hierarchy must be constructed identically.
+     * restoring hierarchy must be constructed identically. Throws
+     * IoError on mismatch.
      */
-    void saveState(BinaryWriter &w) const;
-
-    /** Exact inverse of saveState(); throws IoError on mismatch. */
-    void loadState(BinaryReader &r);
+    void state(StateIo &io);
 
   private:
     /** @return the L2 slice serving `core`. */

@@ -25,38 +25,18 @@ DepTracker::reset()
 }
 
 void
-DepTracker::saveState(BinaryWriter &w) const
+DepTracker::state(StateIo &io)
 {
-    w.pod<std::uint64_t>(remainingDeps_.size());
-    for (const std::uint32_t d : remainingDeps_)
-        w.pod(d);
-    for (std::size_t i = 0; i < done_.size(); ++i)
-        writeBool(w, done_[i]);
-    for (const std::uint64_t e : epochRemaining_)
-        w.pod(e);
-    w.pod(currentEpoch_);
-    w.pod(completed_);
-}
-
-void
-DepTracker::loadState(BinaryReader &r)
-{
-    const auto n = r.pod<std::uint64_t>();
-    if (n != remainingDeps_.size())
-        throwIoError("'%s': dependency-tracker size mismatch",
-                     r.name().c_str());
-    for (std::uint32_t &d : remainingDeps_)
-        d = r.pod<std::uint32_t>();
-    for (std::size_t i = 0; i < done_.size(); ++i)
-        done_[i] = readBool(r);
-    for (std::uint64_t &e : epochRemaining_)
-        e = r.pod<std::uint64_t>();
-    currentEpoch_ = r.pod<std::uint32_t>();
-    completed_ = r.pod<std::uint64_t>();
-    if (currentEpoch_ >= trace_.numEpochs() ||
-        completed_ > trace_.size())
-        throwIoError("'%s': corrupt dependency-tracker counters",
-                     r.name().c_str());
+    io.count(remainingDeps_.size(), "dependency-tracker size");
+    io.block(remainingDeps_);
+    for (auto &&done : done_)
+        io.flag(done);
+    io.block(epochRemaining_);
+    io.pod(currentEpoch_);
+    io.pod(completed_);
+    if (io.loading() && (currentEpoch_ >= trace_.numEpochs() ||
+                         completed_ > trace_.size()))
+        io.corrupt("dependency-tracker counters");
 }
 
 bool

@@ -55,11 +55,11 @@ class DepTracker
     /** Reset to the initial state (for a fresh simulation run). */
     void reset();
 
-    /** Serialize the dependency/epoch state (trace is fixed). */
-    void saveState(BinaryWriter &w) const;
-
-    /** Exact inverse of saveState(); throws IoError on mismatch. */
-    void loadState(BinaryReader &r);
+    /**
+     * Checkpoint the dependency/epoch state (trace is fixed); throws
+     * IoError on mismatch.
+     */
+    void state(StateIo &io);
 
   private:
     bool eligible(TaskInstanceId id) const;

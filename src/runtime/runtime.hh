@@ -86,20 +86,12 @@ class RuntimeModel
     /** @return the scheduler (for introspection in tests). */
     const Scheduler &scheduler() const { return *scheduler_; }
 
-    /** Serialize dependency + scheduler state (trace/config fixed). */
+    /** Checkpoint dependency + scheduler state (trace/config fixed). */
     void
-    saveState(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        tracker_.saveState(w);
-        scheduler_->saveState(w);
-    }
-
-    /** Exact inverse of saveState(). */
-    void
-    loadState(BinaryReader &r)
-    {
-        tracker_.loadState(r);
-        scheduler_->loadState(r);
+        tracker_.state(io);
+        scheduler_->state(io);
     }
 
   private:

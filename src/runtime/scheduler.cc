@@ -7,23 +7,11 @@ namespace tp::rt {
 namespace {
 
 void
-writeQueue(BinaryWriter &w, const std::deque<TaskInstanceId> &q)
+queueState(StateIo &io, std::deque<TaskInstanceId> &q)
 {
-    w.pod<std::uint64_t>(q.size());
-    for (const TaskInstanceId id : q)
-        w.pod(id);
-}
-
-void
-readQueue(BinaryReader &r, std::deque<TaskInstanceId> &q)
-{
-    const auto n = r.pod<std::uint64_t>();
-    if (n > r.remainingBytes() / sizeof(TaskInstanceId))
-        throwIoError("'%s': corrupt scheduler queue length",
-                     r.name().c_str());
-    q.clear();
-    for (std::uint64_t i = 0; i < n; ++i)
-        q.push_back(r.pod<TaskInstanceId>());
+    io.length(q, sizeof(TaskInstanceId), "scheduler queue length");
+    for (TaskInstanceId &id : q)
+        io.pod(id);
 }
 
 } // namespace
@@ -55,15 +43,9 @@ FifoScheduler::empty() const
 }
 
 void
-FifoScheduler::saveState(BinaryWriter &w) const
+FifoScheduler::state(StateIo &io)
 {
-    writeQueue(w, queue_);
-}
-
-void
-FifoScheduler::loadState(BinaryReader &r)
-{
-    readQueue(r, queue_);
+    queueState(io, queue_);
 }
 
 WorkStealingScheduler::WorkStealingScheduler(std::uint32_t num_threads,
@@ -116,22 +98,16 @@ WorkStealingScheduler::empty() const
 }
 
 void
-WorkStealingScheduler::saveState(BinaryWriter &w) const
+WorkStealingScheduler::state(StateIo &io)
 {
-    for (const auto &q : deques_)
-        writeQueue(w, q);
-    rng_.save(w);
-}
-
-void
-WorkStealingScheduler::loadState(BinaryReader &r)
-{
-    queued_ = 0;
-    for (auto &q : deques_) {
-        readQueue(r, q);
-        queued_ += q.size();
+    for (auto &q : deques_)
+        queueState(io, q);
+    rng_.state(io);
+    if (io.loading()) {
+        queued_ = 0;
+        for (const auto &q : deques_)
+            queued_ += q.size();
     }
-    rng_.load(r);
 }
 
 LocalityScheduler::LocalityScheduler(std::uint32_t num_threads)
@@ -202,19 +178,11 @@ LocalityScheduler::empty() const
 }
 
 void
-LocalityScheduler::saveState(BinaryWriter &w) const
-{
-    for (const auto &q : local_)
-        writeQueue(w, q);
-    writeQueue(w, global_);
-}
-
-void
-LocalityScheduler::loadState(BinaryReader &r)
+LocalityScheduler::state(StateIo &io)
 {
     for (auto &q : local_)
-        readQueue(r, q);
-    readQueue(r, global_);
+        queueState(io, q);
+    queueState(io, global_);
 }
 
 std::unique_ptr<Scheduler>

@@ -59,14 +59,11 @@ class Scheduler
     virtual const std::string &name() const = 0;
 
     /**
-     * Serialize the queue contents (and any tie-break RNG state) for
-     * warm-state checkpoints; exact restore via loadState() on a
-     * scheduler constructed with the same policy and thread count.
+     * Checkpoint the queue contents (and any tie-break RNG state).
+     * Loading restores exactly into a scheduler constructed with the
+     * same policy and thread count; throws IoError on corruption.
      */
-    virtual void saveState(BinaryWriter &w) const = 0;
-
-    /** Exact inverse of saveState(); throws IoError on corruption. */
-    virtual void loadState(BinaryReader &r) = 0;
+    virtual void state(StateIo &io) = 0;
 };
 
 /** Central-queue FIFO scheduler. */
@@ -80,8 +77,7 @@ class FifoScheduler : public Scheduler
     bool empty() const override;
     std::size_t size() const override { return queue_.size(); }
     const std::string &name() const override { return name_; }
-    void saveState(BinaryWriter &w) const override;
-    void loadState(BinaryReader &r) override;
+    void state(StateIo &io) override;
 
   private:
     std::string name_;
@@ -104,8 +100,7 @@ class WorkStealingScheduler : public Scheduler
     bool empty() const override;
     std::size_t size() const override { return queued_; }
     const std::string &name() const override { return name_; }
-    void saveState(BinaryWriter &w) const override;
-    void loadState(BinaryReader &r) override;
+    void state(StateIo &io) override;
 
   private:
     std::string name_;
@@ -125,8 +120,7 @@ class LocalityScheduler : public Scheduler
     bool empty() const override;
     std::size_t size() const override;
     const std::string &name() const override { return name_; }
-    void saveState(BinaryWriter &w) const override;
-    void loadState(BinaryReader &r) override;
+    void state(StateIo &io) override;
 
   private:
     std::string name_;

@@ -54,33 +54,15 @@ StratifiedEstimator::reset()
 }
 
 void
-StratifiedEstimator::saveState(BinaryWriter &w) const
+StratifiedEstimator::state(StateIo &io)
 {
-    w.pod<std::uint64_t>(strata_.size());
-    for (const RunningStats &s : stats_)
-        s.save(w);
-    for (const std::uint64_t t : targets_)
-        w.pod(t);
-    for (const char s : seen_)
-        writeBool(w, s != 0);
-    w.pod(rounds_);
-}
-
-void
-StratifiedEstimator::loadState(BinaryReader &r)
-{
-    const auto n = r.pod<std::uint64_t>();
-    if (n != strata_.size())
-        throwIoError("'%s': adaptive-estimator stratum count "
-                     "mismatch",
-                     r.name().c_str());
+    io.count(strata_.size(), "adaptive-estimator stratum count");
     for (RunningStats &s : stats_)
-        s.load(r);
-    for (std::uint64_t &t : targets_)
-        t = r.pod<std::uint64_t>();
+        s.state(io);
+    io.block(targets_);
     for (char &s : seen_)
-        s = readBool(r) ? 1 : 0;
-    rounds_ = r.pod<std::uint64_t>();
+        io.flag(s);
+    io.pod(rounds_);
 }
 
 void

@@ -193,14 +193,12 @@ class StratifiedEstimator
     void reset();
 
     /**
-     * Serialize the dynamic estimator state (per-stratum Welford
+     * Checkpoint the dynamic estimator state (per-stratum Welford
      * accumulators, targets, seen flags, reallocation rounds); the
-     * strata specs and config are fixed by construction.
+     * strata specs and config are fixed by construction. Throws
+     * IoError on mismatch.
      */
-    void saveState(BinaryWriter &w) const;
-
-    /** Exact inverse of saveState(); throws IoError on mismatch. */
-    void loadState(BinaryReader &r);
+    void state(StateIo &io);
 
   private:
     /** True when every seen stratum met its target or capacity. */

@@ -47,29 +47,15 @@ class IpcHistory
     /** @return arithmetic mean of the stored samples (0 if empty). */
     double mean() const;
 
-    /** Serialize contents + ring position (capacity is fixed). */
+    /** Checkpoint contents + ring position (capacity is fixed). */
     void
-    save(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        for (const double v : buf_)
-            w.pod(v);
-        w.pod<std::uint64_t>(next_);
-        w.pod<std::uint64_t>(size_);
-    }
-
-    /** Exact inverse of save(); throws IoError on corruption. */
-    void
-    load(BinaryReader &r)
-    {
-        for (double &v : buf_)
-            v = r.pod<double>();
-        const auto next = r.pod<std::uint64_t>();
-        const auto size = r.pod<std::uint64_t>();
-        if (next >= buf_.size() || size > buf_.size())
-            throwIoError("'%s': corrupt IPC-history position",
-                         r.name().c_str());
-        next_ = static_cast<std::size_t>(next);
-        size_ = static_cast<std::size_t>(size);
+        io.block(buf_);
+        io.pod<std::uint64_t>(next_);
+        io.pod<std::uint64_t>(size_);
+        if (io.loading() && (next_ >= buf_.size() || size_ > buf_.size()))
+            io.corrupt("IPC-history position");
     }
 
   private:

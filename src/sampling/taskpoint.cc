@@ -368,116 +368,51 @@ TaskPointController::taskFinished(const trace::TaskInstance &inst,
 }
 
 void
-TaskPointController::saveState(BinaryWriter &w) const
+TaskPointController::state(StateIo &io)
 {
-    for (const TypeProfile &p : profiles_)
-        p.save(w);
-    w.pod<std::uint64_t>(threads_.size());
-    for (const ThreadState &ts : threads_) {
-        w.pod(ts.startedInPhase);
-        w.pod(ts.finishedInPhase);
-        w.pod(ts.sinceUnsampled);
-        w.pod(ts.fastStarted);
-        writeBool(w, ts.inPhase);
-    }
-    for (const std::uint32_t n : inFlight_)
-        w.pod(n);
-    for (const StartInfo &si : startInfo_) {
-        w.pod(si.phaseSeq);
-        w.pod<std::uint8_t>(static_cast<std::uint8_t>(si.phase));
-        writeBool(w, si.decided);
-    }
-    w.pod<std::uint8_t>(static_cast<std::uint8_t>(phase_));
-    w.pod(phaseSeq_);
-    w.pod(warmupTarget_);
-    w.pod(sampledConcurrency_);
-    w.pod(concurrencyDivergence_);
-    writeBool(w, pendingStateAging_);
-    if (estimator_)
-        estimator_->saveState(w);
-    w.pod(adaptiveStopCycle_);
-    writeBool(w, adaptiveCutoffStopped_);
-    writeBool(w, adaptiveBudgetStopped_);
-    w.pod(detailInstsInSampling_);
-    w.pod(fastPhaseEntries_);
-    w.pod(stats_.warmupTasks);
-    w.pod(stats_.sampleTasks);
-    w.pod(stats_.fastTasks);
-    w.pod(stats_.resamples);
-    w.pod(stats_.resamplesPeriod);
-    w.pod(stats_.resamplesNewType);
-    w.pod(stats_.resamplesConcurrency);
-    w.pod(stats_.phaseChanges);
-    w.pod<std::uint64_t>(phaseLog_.size());
-    for (const PhaseChange &pc : phaseLog_) {
-        w.pod(pc.at);
-        w.pod<std::uint8_t>(static_cast<std::uint8_t>(pc.to));
-    }
-}
-
-void
-TaskPointController::loadState(BinaryReader &r)
-{
-    const auto read_phase = [&r]() {
-        const auto raw = r.pod<std::uint8_t>();
-        if (raw > static_cast<std::uint8_t>(Phase::Fast))
-            throwIoError("'%s': corrupt sampling phase tag",
-                         r.name().c_str());
-        return static_cast<Phase>(raw);
-    };
-
     for (TypeProfile &p : profiles_)
-        p.load(r);
-    const auto nthreads = r.pod<std::uint64_t>();
-    if (nthreads > r.remainingBytes())
-        throwIoError("'%s': corrupt controller thread count",
-                     r.name().c_str());
-    threads_.assign(static_cast<std::size_t>(nthreads),
-                    ThreadState{});
+        p.state(io);
+    io.length(threads_, 1, "controller thread count");
     for (ThreadState &ts : threads_) {
-        ts.startedInPhase = r.pod<std::uint64_t>();
-        ts.finishedInPhase = r.pod<std::uint64_t>();
-        ts.sinceUnsampled = r.pod<std::uint64_t>();
-        ts.fastStarted = r.pod<std::uint64_t>();
-        ts.inPhase = readBool(r);
+        io.pod(ts.startedInPhase);
+        io.pod(ts.finishedInPhase);
+        io.pod(ts.sinceUnsampled);
+        io.pod(ts.fastStarted);
+        io.flag(ts.inPhase);
     }
-    inFlight_.assign(static_cast<std::size_t>(nthreads), 0);
-    for (std::uint32_t &n : inFlight_)
-        n = r.pod<std::uint32_t>();
+    if (io.loading())
+        inFlight_.assign(threads_.size(), 0);
+    io.block(inFlight_);
     for (StartInfo &si : startInfo_) {
-        si.phaseSeq = r.pod<std::uint32_t>();
-        si.phase = read_phase();
-        si.decided = readBool(r);
+        io.pod(si.phaseSeq);
+        io.tag(si.phase, Phase::Fast, "sampling phase tag");
+        io.flag(si.decided);
     }
-    phase_ = read_phase();
-    phaseSeq_ = r.pod<std::uint32_t>();
-    warmupTarget_ = r.pod<std::uint64_t>();
-    sampledConcurrency_ = r.pod<std::uint32_t>();
-    concurrencyDivergence_ = r.pod<std::uint32_t>();
-    pendingStateAging_ = readBool(r);
+    io.tag(phase_, Phase::Fast, "sampling phase tag");
+    io.pod(phaseSeq_);
+    io.pod(warmupTarget_);
+    io.pod(sampledConcurrency_);
+    io.pod(concurrencyDivergence_);
+    io.flag(pendingStateAging_);
     if (estimator_)
-        estimator_->loadState(r);
-    adaptiveStopCycle_ = r.pod<Cycles>();
-    adaptiveCutoffStopped_ = readBool(r);
-    adaptiveBudgetStopped_ = readBool(r);
-    detailInstsInSampling_ = r.pod<std::uint64_t>();
-    fastPhaseEntries_ = r.pod<std::uint64_t>();
-    stats_.warmupTasks = r.pod<std::uint64_t>();
-    stats_.sampleTasks = r.pod<std::uint64_t>();
-    stats_.fastTasks = r.pod<std::uint64_t>();
-    stats_.resamples = r.pod<std::uint64_t>();
-    stats_.resamplesPeriod = r.pod<std::uint64_t>();
-    stats_.resamplesNewType = r.pod<std::uint64_t>();
-    stats_.resamplesConcurrency = r.pod<std::uint64_t>();
-    stats_.phaseChanges = r.pod<std::uint64_t>();
-    const auto nlog = r.pod<std::uint64_t>();
-    if (nlog > r.remainingBytes())
-        throwIoError("'%s': corrupt phase-log length",
-                     r.name().c_str());
-    phaseLog_.resize(static_cast<std::size_t>(nlog));
+        estimator_->state(io);
+    io.pod(adaptiveStopCycle_);
+    io.flag(adaptiveCutoffStopped_);
+    io.flag(adaptiveBudgetStopped_);
+    io.pod(detailInstsInSampling_);
+    io.pod(fastPhaseEntries_);
+    io.pod(stats_.warmupTasks);
+    io.pod(stats_.sampleTasks);
+    io.pod(stats_.fastTasks);
+    io.pod(stats_.resamples);
+    io.pod(stats_.resamplesPeriod);
+    io.pod(stats_.resamplesNewType);
+    io.pod(stats_.resamplesConcurrency);
+    io.pod(stats_.phaseChanges);
+    io.length(phaseLog_, 1, "phase-log length");
     for (PhaseChange &pc : phaseLog_) {
-        pc.at = r.pod<Cycles>();
-        pc.to = read_phase();
+        io.pod(pc.at);
+        io.tag(pc.to, Phase::Fast, "sampling phase tag");
     }
 }
 

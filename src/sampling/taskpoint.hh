@@ -238,11 +238,11 @@ class TaskPointController : public sim::ModeController
         return static_cast<std::uint8_t>(phase_);
     }
 
-    /** Serialize the full dynamic controller state. */
-    void saveState(BinaryWriter &w) const override;
-
-    /** Exact inverse of saveState(); throws IoError on corruption. */
-    void loadState(BinaryReader &r) override;
+    /**
+     * Checkpoint the full dynamic controller state; throws IoError
+     * on corruption.
+     */
+    void state(StateIo &io) override;
 
   private:
     /** Per-thread bookkeeping, reset at each phase change. */

@@ -57,24 +57,14 @@ class TypeProfile
     /** Count one observed instance. */
     void countObserved() { ++observed_; }
 
-    /** Serialize histories + bookkeeping (history size is fixed). */
+    /** Checkpoint histories + bookkeeping (history size is fixed). */
     void
-    save(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        valid_.save(w);
-        all_.save(w);
-        writeBool(w, seen_);
-        w.pod(observed_);
-    }
-
-    /** Exact inverse of save(). */
-    void
-    load(BinaryReader &r)
-    {
-        valid_.load(r);
-        all_.load(r);
-        seen_ = readBool(r);
-        observed_ = r.pod<std::uint64_t>();
+        valid_.state(io);
+        all_.state(io);
+        io.flag(seen_);
+        io.pod(observed_);
     }
 
   private:

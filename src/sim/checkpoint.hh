@@ -46,7 +46,13 @@ namespace tp::sim {
 
 /** Envelope magic: "TPCKPT1" + format byte. */
 constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
-/** Bumped whenever any saveState()/loadState() pair changes shape. */
+/**
+ * Payload layout version. Each component declares its layout once,
+ * in `state(StateIo &)` (common/binary_io.hh); bump this whenever
+ * any of them changes shape. CheckpointFormat.PayloadDigestsArePinned
+ * (tests/test_checkpoint.cc) pins the payload bytes and must be
+ * re-pinned together with the bump.
+ */
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
 /** One recorded sample boundary. */

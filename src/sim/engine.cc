@@ -177,72 +177,42 @@ Engine::assignTasks(Cycles now)
 }
 
 void
-Engine::saveState(BinaryWriter &w) const
+Engine::state(StateIo &io)
 {
-    w.pod(activeCores_);
-    w.pod(lastCompletion_);
-    w.pod(busyCycles_);
-    w.pod(fastInstsSinceAging_);
-    w.pod(result_.detailedTasks);
-    w.pod(result_.fastTasks);
-    w.pod(result_.detailedInsts);
-    w.pod(result_.fastInsts);
-    jitterRng_.save(w);
-    for (const CoreState &s : states_) {
-        w.pod<std::uint8_t>(static_cast<std::uint8_t>(s.st));
-        w.pod(s.task);
-        w.pod(s.start);
-        w.pod(s.finish);
-    }
-    for (const cpu::RobCore &c : cores_)
-        c.saveState(w);
-    events_.saveState(w);
-    mem_.saveState(w);
-    runtime_.saveState(w);
-    noise_.saveState(w);
-}
-
-void
-Engine::loadState(BinaryReader &r)
-{
-    activeCores_ = r.pod<std::uint32_t>();
-    lastCompletion_ = r.pod<Cycles>();
-    busyCycles_ = r.pod<Cycles>();
-    fastInstsSinceAging_ = r.pod<InstCount>();
-    result_.detailedTasks = r.pod<std::uint64_t>();
-    result_.fastTasks = r.pod<std::uint64_t>();
-    result_.detailedInsts = r.pod<InstCount>();
-    result_.fastInsts = r.pod<InstCount>();
-    jitterRng_.load(r);
+    io.pod(activeCores_);
+    io.pod(lastCompletion_);
+    io.pod(busyCycles_);
+    io.pod(fastInstsSinceAging_);
+    io.pod(result_.detailedTasks);
+    io.pod(result_.fastTasks);
+    io.pod(result_.detailedInsts);
+    io.pod(result_.fastInsts);
+    jitterRng_.state(io);
     for (CoreState &s : states_) {
-        const auto raw = r.pod<std::uint8_t>();
-        if (raw > static_cast<std::uint8_t>(CoreState::St::Fast))
-            throwIoError("'%s': corrupt core state tag",
-                         r.name().c_str());
-        s.st = static_cast<CoreState::St>(raw);
-        s.task = r.pod<TaskInstanceId>();
-        s.start = r.pod<Cycles>();
-        s.finish = r.pod<Cycles>();
-        if (s.st != CoreState::St::Idle && s.task >= trace_.size())
-            throwIoError("'%s': core task id out of range",
-                         r.name().c_str());
+        io.tag(s.st, CoreState::St::Fast, "core state tag");
+        io.pod(s.task);
+        io.pod(s.start);
+        io.pod(s.finish);
+        if (io.loading() && s.st != CoreState::St::Idle &&
+            s.task >= trace_.size())
+            io.corrupt("core task id (out of range)");
     }
     for (ThreadId c = 0; c < config_.numThreads; ++c) {
         const CoreState &s = states_[c];
         // A detailed core at a sample boundary is always mid-task;
-        // its instruction stream is rebuilt from the trace and then
-        // repositioned by RobCore::loadState.
+        // on load its instruction stream is rebuilt from the trace
+        // and then repositioned by RobCore::state.
         const trace::TaskInstance *inst =
             s.st == CoreState::St::Detailed ? &trace_.instance(s.task)
                                             : nullptr;
         const trace::TaskType *type =
             inst != nullptr ? &trace_.type(inst->type) : nullptr;
-        cores_[c].loadState(r, type, inst);
+        cores_[c].state(io, type, inst);
     }
-    events_.loadState(r);
-    mem_.loadState(r);
-    runtime_.loadState(r);
-    noise_.loadState(r);
+    events_.state(io);
+    mem_.state(io);
+    runtime_.state(io);
+    noise_.state(io);
 }
 
 SimResult
@@ -273,8 +243,9 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
         std::istringstream is(hooks->restore->state,
                               std::ios::binary);
         BinaryReader r(is, "checkpoint");
-        controller_->loadState(r);
-        loadState(r);
+        StateIo io(r);
+        controller_->state(io);
+        state(io);
         r.expectEof();
         boundary_count = hooks->restore->boundary;
         if (observer_ != nullptr)
@@ -309,8 +280,9 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
                     cp.boundary = boundary_count;
                     std::ostringstream os(std::ios::binary);
                     BinaryWriter w(os);
-                    controller_->saveState(w);
-                    saveState(w);
+                    StateIo io(w);
+                    controller_->state(io);
+                    state(io);
                     if (!w.good())
                         fatal("checkpoint serialization failed");
                     cp.state = os.str();

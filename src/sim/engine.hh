@@ -119,14 +119,12 @@ class Engine
     EngineStatus status(Cycles now, bool counting_new_task) const;
 
     /**
-     * Serialize the engine's dynamic state (cores, memory, runtime,
+     * Checkpoint the engine's dynamic state (cores, memory, runtime,
      * event queue, counters, RNGs — everything but the config, the
-     * trace and the accumulated TaskRecords).
+     * trace and the accumulated TaskRecords); throws IoError on
+     * corruption.
      */
-    void saveState(BinaryWriter &w) const;
-
-    /** Exact inverse of saveState(); throws IoError on corruption. */
-    void loadState(BinaryReader &r);
+    void state(StateIo &io);
 
     SimConfig config_;
     const trace::TaskTrace &trace_;

@@ -111,42 +111,32 @@ class CoreEventQueue
     }
 
     /**
-     * Serialize the heap array and every key verbatim, preserving
+     * Checkpoint the heap array and every key verbatim, preserving
      * the exact heap layout (top order and all future sift paths).
+     * The core count is fixed by construction; loading throws
+     * IoError on out-of-range or duplicate ids.
      */
     void
-    saveState(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        w.pod<std::uint64_t>(heap_.size());
-        for (const ThreadId id : heap_)
-            w.pod(id);
-        for (const Cycles k : key_)
-            w.pod(k);
-    }
-
-    /**
-     * Exact inverse of saveState(). The core count is fixed by
-     * construction; throws IoError on mismatching or duplicate ids.
-     */
-    void
-    loadState(BinaryReader &r)
-    {
-        const auto n = r.pod<std::uint64_t>();
-        if (n > pos_.size())
-            throwIoError("'%s': corrupt event-queue size",
-                         r.name().c_str());
-        heap_.clear();
-        std::fill(pos_.begin(), pos_.end(), kAbsent);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto id = r.pod<ThreadId>();
-            if (id >= pos_.size() || pos_[id] != kAbsent)
-                throwIoError("'%s': corrupt event-queue entry",
-                             r.name().c_str());
-            pos_[id] = heap_.size();
-            heap_.push_back(id);
+        std::uint64_t n = heap_.size();
+        io.pod(n);
+        if (io.loading()) {
+            if (n > pos_.size())
+                io.corrupt("event-queue size");
+            heap_.resize(static_cast<std::size_t>(n));
         }
-        for (Cycles &k : key_)
-            k = r.pod<Cycles>();
+        io.block(heap_);
+        if (io.loading()) {
+            std::fill(pos_.begin(), pos_.end(), kAbsent);
+            for (std::size_t i = 0; i < heap_.size(); ++i) {
+                const ThreadId id = heap_[i];
+                if (id >= pos_.size() || pos_[id] != kAbsent)
+                    io.corrupt("event-queue entry");
+                pos_[id] = i;
+            }
+        }
+        io.block(key_);
     }
 
   private:

@@ -92,14 +92,12 @@ class ModeController
     virtual std::uint8_t observerPhase() const { return 3; }
 
     /**
-     * Serialize the controller's dynamic state into a checkpoint.
-     * Must be overridden (together with loadState()) by controllers
-     * that advance phaseEpoch().
+     * Write or read the controller's dynamic checkpoint state: one
+     * declaration serves both directions (StateIo,
+     * common/binary_io.hh). Controllers that advance phaseEpoch()
+     * must override it; the default stores nothing.
      */
-    virtual void saveState(BinaryWriter &) const {}
-
-    /** Exact inverse of saveState(). */
-    virtual void loadState(BinaryReader &) {}
+    virtual void state(StateIo &) {}
 };
 
 } // namespace tp::sim

@@ -47,11 +47,8 @@ class NoiseModel
     /** @return true if the model changes durations. */
     bool enabled() const { return config_.enabled; }
 
-    /** Serialize the RNG position (config is fixed). */
-    void saveState(BinaryWriter &w) const { rng_.save(w); }
-
-    /** Exact inverse of saveState(). */
-    void loadState(BinaryReader &r) { rng_.load(r); }
+    /** Checkpoint the RNG position (config is fixed). */
+    void state(StateIo &io) { rng_.state(io); }
 
   private:
     NoiseConfig config_;

@@ -72,31 +72,18 @@ class InstrStream
      * Serialize the stream position: the produced count, the RNG
      * state and the two walk registers. Everything else is a pure
      * function of (task type, instance) and is reconstructed by the
-     * constructor on restore.
+     * constructor, so load into a stream freshly constructed from
+     * the same (type, instance) pair.
      */
     void
-    saveState(BinaryWriter &w) const
+    state(StateIo &io)
     {
-        w.pod(produced_);
-        rng_.save(w);
-        w.pod(cursor_);
-        w.pod(sinceLastMem_);
-    }
-
-    /**
-     * Exact inverse of saveState(); call on a stream freshly
-     * constructed from the same (type, instance) pair.
-     */
-    void
-    loadState(BinaryReader &r)
-    {
-        produced_ = r.pod<InstCount>();
-        if (produced_ > total_)
-            throwIoError("'%s': corrupt instruction-stream position",
-                         r.name().c_str());
-        rng_.load(r);
-        cursor_ = r.pod<Addr>();
-        sinceLastMem_ = r.pod<std::uint64_t>();
+        io.pod(produced_);
+        if (io.loading() && produced_ > total_)
+            io.corrupt("instruction-stream position");
+        rng_.state(io);
+        io.pod(cursor_);
+        io.pod(sinceLastMem_);
     }
 
   private:

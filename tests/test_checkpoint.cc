@@ -12,14 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/binary_io.hh"
 #include "common/hash.hh"
 #include "corruption_battery.hh"
 #include "cpu/arch_config.hh"
 #include "harness/batch_runner.hh"
+#include "harness/experiment.hh"
 #include "harness/plan_shard.hh"
 #include "harness/result_cache.hh"
 #include "harness/result_sink.hh"
@@ -273,30 +276,45 @@ runPlan(const ExperimentPlan &plan, const BatchOptions &opts,
     ASSERT_EQ(sink.results().size(), plan.jobs.size());
 }
 
-/**
- * The ISSUE-level guarantee, per workload: a serial run, a recording
- * run and a checkpoint-parallel (sliced) run of the same job all
- * produce byte-identical sampled outcomes.
- */
-TEST(CheckpointRoundTrip, EveryRegistryWorkloadRestoresBitIdentical)
+/** @return boundaries the recording run published for `job`. */
+std::uint64_t
+recordedBoundaries(ResultCache &store, const JobSpec &job)
 {
-    ExperimentPlan plan;
-    plan.deriveSeeds = false;
-    for (const work::WorkloadInfo &w : work::allWorkloads())
-        plan.jobs.push_back(sampledJob(w.name, BatchMode::Sampled,
-                                       /*record_tasks=*/true));
+    const std::optional<std::string> manifest =
+        store.loadBlob(checkpointManifestKey(
+            memoryConfigDigest(job.spec.arch.memory),
+            checkpointJobDigest(job)));
+    if (!manifest)
+        return 0;
+    return parseCheckpointManifest(*manifest).value_or(0);
+}
 
+/**
+ * A serial run, a recording run and a checkpoint-parallel (sliced)
+ * run of every job in `plan` must produce byte-identical sampled
+ * outcomes. Jobs recording fewer than `min_boundaries` sample
+ * boundaries fail: they would not really slice.
+ */
+void
+expectSlicedRunsMatchSerial(const ExperimentPlan &plan,
+                            const std::string &tag,
+                            std::uint64_t min_boundaries = 0)
+{
     // Serial baseline, no checkpoints involved.
     CollectingSink serial;
     runPlan(plan, BatchOptions{}, serial);
 
-    const std::unique_ptr<ResultCache> store = tempStore("registry");
+    const std::unique_ptr<ResultCache> store = tempStore(tag);
 
     // Recording run: serial, publishes checkpoints + manifests.
     BatchOptions record;
     record.checkpoints = store.get();
     CollectingSink recorded;
     runPlan(plan, record, recorded);
+    for (const JobSpec &j : plan.jobs) {
+        EXPECT_GE(recordedBoundaries(*store, j), min_boundaries)
+            << j.label << " records too few boundaries to slice";
+    }
 
     // Sliced run: every job expands into slices that restore the
     // recorded warm state; the merge must reassemble the original
@@ -317,6 +335,127 @@ TEST(CheckpointRoundTrip, EveryRegistryWorkloadRestoresBitIdentical)
             << plan.jobs[i].label << " (recording run)";
         EXPECT_EQ(outcomeBytes(merged.results()[i]), want)
             << plan.jobs[i].label << " (sliced run)";
+    }
+}
+
+/**
+ * The checkpoint guarantee, per workload: a serial run, a recording
+ * run and a checkpoint-parallel (sliced) run of the same job all
+ * produce byte-identical sampled outcomes.
+ */
+TEST(CheckpointRoundTrip, EveryRegistryWorkloadRestoresBitIdentical)
+{
+    ExperimentPlan plan;
+    plan.deriveSeeds = false;
+    for (const work::WorkloadInfo &w : work::allWorkloads())
+        plan.jobs.push_back(sampledJob(w.name, BatchMode::Sampled,
+                                       /*record_tasks=*/true));
+    expectSlicedRunsMatchSerial(plan, "registry");
+}
+
+/**
+ * Restore paths the default configuration above never takes: the
+ * WorkStealing (queues + steal RNG) and Locality scheduler queues,
+ * the low-power hierarchy (no L3, shared L2) and the adaptive
+ * policy's StratifiedEstimator.
+ *
+ * On these workloads the lazy and adaptive policies close exactly one
+ * sampling regime, so their jobs record one boundary: two slices, the
+ * second restoring it. Periodic resampling records several, so its
+ * middle slices both restore and stop at a boundary.
+ */
+struct RestoreConfig
+{
+    const char *name;
+    bool lowPower;
+    rt::SchedulerKind scheduler;
+    sampling::SamplingParams sampling;
+    std::uint64_t minBoundaries;
+};
+
+class CheckpointRestoreConfigs
+    : public testing::TestWithParam<RestoreConfig>
+{};
+
+TEST_P(CheckpointRestoreConfigs, SlicedRunsMatchSerial)
+{
+    const RestoreConfig &c = GetParam();
+    ExperimentPlan plan;
+    plan.deriveSeeds = false;
+    // One dependency-heavy and one coherence-heavy workload.
+    for (const char *w : {"cholesky", "histogram"}) {
+        JobSpec j = sampledJob(w, BatchMode::Sampled,
+                               /*record_tasks=*/true);
+        // Enough histogram tasks for two periodic regimes.
+        j.workloadParams.scale = 0.05;
+        if (c.lowPower)
+            j.spec.arch = cpu::lowPowerConfig();
+        j.spec.runtime.scheduler = c.scheduler;
+        j.sampling = c.sampling;
+        plan.jobs.push_back(j);
+    }
+    expectSlicedRunsMatchSerial(plan, std::string("cfg_") + c.name,
+                                c.minBoundaries);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulersHierarchiesPolicies, CheckpointRestoreConfigs,
+    testing::Values(
+        RestoreConfig{"highperf_steal_lazy", false,
+                      rt::SchedulerKind::WorkStealing,
+                      sampling::SamplingParams::lazy(), 1},
+        RestoreConfig{"highperf_locality_periodic50", false,
+                      rt::SchedulerKind::Locality,
+                      sampling::SamplingParams::periodic(50), 2},
+        RestoreConfig{"lowpower_fifo_lazy", true,
+                      rt::SchedulerKind::Fifo,
+                      sampling::SamplingParams::lazy(), 1},
+        RestoreConfig{"lowpower_steal_adaptive2", true,
+                      rt::SchedulerKind::WorkStealing,
+                      sampling::SamplingParams::adaptive(0.02), 1}),
+    [](const testing::TestParamInfo<RestoreConfig> &info) {
+        return std::string(info.param.name);
+    });
+
+/**
+ * Pins the checkpoint payload layout: the FNV-1a digest of every
+ * boundary two fixed jobs record. Any change to a component's
+ * state(StateIo &) that moves a payload byte trips this test, and
+ * a store recorded by an older build would then be misread.
+ * Re-pin these constants only together with a
+ * kCheckpointFormatVersion bump (sim/checkpoint.hh).
+ */
+TEST(CheckpointFormat, PayloadDigestsArePinned)
+{
+    struct Pinned
+    {
+        JobSpec job;
+        std::vector<std::uint64_t> digests;
+    };
+    JobSpec histogram = sampledJob("histogram", BatchMode::Sampled);
+    JobSpec cholesky = sampledJob("cholesky", BatchMode::Sampled);
+    cholesky.spec.arch = cpu::lowPowerConfig();
+    cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
+    cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
+    const Pinned pinned[] = {
+        {histogram, {0x643cae4b93d8f2c9ULL}},
+        {cholesky, {0xc99b3d154b9cb2ceULL}},
+    };
+
+    for (const Pinned &p : pinned) {
+        const trace::TaskTrace trace = work::generateWorkload(
+            p.job.workload, p.job.workloadParams);
+        std::vector<std::uint64_t> digests;
+        sim::CheckpointHooks hooks;
+        hooks.record = [&digests](sim::Checkpoint &&cp) {
+            digests.push_back(fnv1a(cp.state.data(), cp.state.size()));
+        };
+        runSampled(trace, p.job.spec, p.job.sampling, &hooks);
+        std::string got;
+        for (const std::uint64_t d : digests)
+            got += "0x" + toHex(d) + "ULL, ";
+        EXPECT_EQ(digests, p.digests)
+            << p.job.label << " payload digests: " << got;
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common library: RNG, statistics, CLI, tables,
- * logging.
+ * logging, the flat map and checkpoint state I/O (StateIo).
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.hh"
 #include "common/cli.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
@@ -630,6 +632,111 @@ TEST(FlatMap64, MatchesReferenceMapUnderRandomMix)
         }
     }
     EXPECT_EQ(m.size(), ref.size());
+}
+
+/** A component declaring its checkpoint state once. */
+struct StateSample
+{
+    enum class Kind : std::uint8_t { A, B, C };
+
+    std::uint32_t narrow = 0;
+    std::size_t wide = 0;
+    bool on = false;
+    Kind kind = Kind::A;
+    std::vector<std::uint64_t> fixed = std::vector<std::uint64_t>(3);
+    std::vector<std::uint32_t> var;
+
+    void
+    state(StateIo &io)
+    {
+        io.pod(narrow);
+        io.pod<std::uint64_t>(wide);
+        io.flag(on);
+        io.tag(kind, Kind::C, "sample kind tag");
+        io.count(fixed.size(), "sample geometry");
+        io.block(fixed);
+        io.length(var, sizeof(std::uint32_t), "sample length");
+        for (std::uint32_t &v : var)
+            io.pod(v);
+    }
+};
+
+std::string
+saveSample(StateSample s)
+{
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    StateIo io(w);
+    s.state(io);
+    return os.str();
+}
+
+StateSample
+loadSample(const std::string &bytes, StateSample into = {})
+{
+    std::istringstream is(bytes, std::ios::binary);
+    BinaryReader r(is, "sample");
+    StateIo io(r);
+    into.state(io);
+    r.expectEof();
+    return into;
+}
+
+TEST(StateIo, OneDeclarationRoundTripsEveryFieldKind)
+{
+    StateSample s;
+    s.narrow = 7;
+    s.wide = std::size_t{1} << 40;
+    s.on = true;
+    s.kind = StateSample::Kind::C;
+    s.fixed = {1, 2, 3};
+    s.var = {9, 8};
+    const std::string bytes = saveSample(s);
+    // u32, u64 wire width, bool byte, u8 tag, u64 count, 3 x u64,
+    // u64 length, 2 x u32.
+    EXPECT_EQ(bytes.size(), 4u + 8 + 1 + 1 + 8 + 24 + 8 + 8);
+
+    const StateSample back = loadSample(bytes);
+    EXPECT_EQ(back.narrow, s.narrow);
+    EXPECT_EQ(back.wide, s.wide);
+    EXPECT_EQ(back.on, s.on);
+    EXPECT_EQ(back.kind, s.kind);
+    EXPECT_EQ(back.fixed, s.fixed);
+    EXPECT_EQ(back.var, s.var);
+    EXPECT_EQ(saveSample(back), bytes);
+}
+
+TEST(StateIo, LoadRejectsCorruptFieldsNamingThem)
+{
+    const std::string good = saveSample(StateSample{});
+    const auto expectIoError = [](const std::string &bytes,
+                                  const char *needle,
+                                  StateSample into = {}) {
+        try {
+            loadSample(bytes, into);
+            FAIL() << "expected IoError mentioning " << needle;
+        } catch (const IoError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    std::string bad = good;
+    bad[12] = 2; // bool byte
+    expectIoError(bad, "boolean");
+    bad = good;
+    bad[13] = 3; // tag past Kind::C
+    expectIoError(bad, "sample kind tag");
+    StateSample four;
+    four.fixed.resize(4);
+    expectIoError(good, "sample geometry", four);
+    bad = good;
+    const std::uint64_t huge = 1ULL << 40;
+    bad.replace(14 + 8 + 24, sizeof(huge),
+                reinterpret_cast<const char *>(&huge), sizeof(huge));
+    expectIoError(bad, "sample length");
+    expectIoError(good.substr(0, good.size() - 1), "truncated");
 }
 
 } // namespace
