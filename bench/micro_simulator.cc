@@ -2,8 +2,9 @@
  * @file
  * Micro-benchmarks of the simulator substrate (google-benchmark):
  * cache lookups, synthetic instruction-stream generation, detailed
- * core throughput, the cost of an inactive fault-injection site, and
- * end-to-end engine runs in both modes.
+ * core throughput, the cost of an inactive fault-injection site, the
+ * two costs of a sample boundary (fast-forward aging and checkpoint
+ * framing), and end-to-end engine runs in both modes.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "harness/experiment.hh"
 #include "memory/cache.hh"
 #include "memory/hierarchy.hh"
+#include "sim/checkpoint.hh"
 #include "sim/event_queue.hh"
 #include "trace/instr_stream.hh"
 #include "trace/trace_builder.hh"
@@ -206,6 +208,53 @@ BM_DetailedCoreThroughput(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_DetailedCoreThroughput);
+
+/**
+ * Leaving fast-forward after a long skip: aging that replaces every
+ * way of every cache of the 8-core high-performance hierarchy.
+ */
+void
+BM_FastForwardAging(benchmark::State &state)
+{
+    mem::Hierarchy h(cpu::highPerformanceConfig().memory, 8);
+    for (auto _ : state) {
+        h.applyFastForwardAging(1ULL << 30);
+        benchmark::DoNotOptimize(&h);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_FastForwardAging)->Unit(benchmark::kMillisecond);
+
+/**
+ * Framing one checkpoint and parsing it back: serializeCheckpoint
+ * then deserializeCheckpoint of a 10 MB payload, about what one
+ * boundary of the 8-core high-performance hierarchy records.
+ */
+void
+BM_CheckpointFrame(benchmark::State &state)
+{
+    sim::Checkpoint cp;
+    cp.boundary = 1;
+    cp.state.resize(10u << 20);
+    Rng rng(17);
+    for (std::size_t i = 0; i + 8 <= cp.state.size(); i += 8) {
+        const std::uint64_t word = rng.next();
+        cp.state.replace(i, 8, reinterpret_cast<const char *>(&word),
+                         8);
+    }
+    for (auto _ : state) {
+        const std::string blob = sim::serializeCheckpoint(cp);
+        const sim::Checkpoint back =
+            sim::deserializeCheckpoint(blob, "bench");
+        benchmark::DoNotOptimize(blob.data());
+        benchmark::DoNotOptimize(back.state.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(cp.state.size()));
+}
+BENCHMARK(BM_CheckpointFrame)->Unit(benchmark::kMillisecond);
 
 void
 BM_EngineDetailedRun(benchmark::State &state)

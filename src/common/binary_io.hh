@@ -28,6 +28,7 @@
 #include <iterator>
 #include <limits>
 #include <ostream>
+#include <streambuf>
 #include <string>
 #include <type_traits>
 
@@ -171,6 +172,46 @@ class BinaryReader
   private:
     std::istream &in_;
     std::string name_;
+};
+
+/**
+ * A read-only, seekable std::streambuf over bytes the caller keeps
+ * alive. An istream over it reads them in place, without the copy an
+ * istringstream makes, and BinaryReader::remainingBytes() still
+ * bounds counts by the bytes left.
+ */
+class ByteViewBuf : public std::streambuf
+{
+  public:
+    ByteViewBuf(const char *data, std::size_t size)
+    {
+        // The get area is only read: streambuf never writes to it
+        // (putback of a different byte fails instead).
+        char *p = const_cast<char *>(data);
+        setg(p, p, p + size);
+    }
+
+  protected:
+    pos_type
+    seekoff(off_type off, std::ios_base::seekdir dir,
+            std::ios_base::openmode which) override
+    {
+        const off_type size = egptr() - eback();
+        if (dir == std::ios_base::cur)
+            off += gptr() - eback();
+        else if (dir == std::ios_base::end)
+            off += size;
+        if (!(which & std::ios_base::in) || off < 0 || off > size)
+            return pos_type(off_type(-1));
+        setg(eback(), eback() + off, egptr());
+        return pos_type(off);
+    }
+
+    pos_type
+    seekpos(pos_type pos, std::ios_base::openmode which) override
+    {
+        return seekoff(off_type(pos), std::ios_base::beg, which);
+    }
 };
 
 /**

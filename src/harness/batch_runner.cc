@@ -291,7 +291,13 @@ BatchRunner::runJob(const JobSpec &job, std::size_t index,
                            CacheMode::ReadWrite) {
                 manifestKey =
                     checkpointManifestKey(memDigest, jobDigest);
-                if (!options_.checkpoints->contains(manifestKey)) {
+                // Record unless this build can read the manifest: a
+                // damaged one, or one from another checkpoint format
+                // version, is replaced, so a store recorded by an
+                // older build cold-replays once instead of forever.
+                const std::optional<std::string> manifest =
+                    options_.checkpoints->loadBlob(manifestKey);
+                if (!manifest || !parseCheckpointManifest(*manifest)) {
                     recording = true;
                     useHooks = true;
                     hooks.record = [&](sim::Checkpoint &&cp) {

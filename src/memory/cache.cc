@@ -113,28 +113,33 @@ Cache::invalidate(Addr addr)
 }
 
 void
-Cache::reset()
-{
-    std::fill(tags_.begin(), tags_.end(), 0);
-    std::fill(lru_.begin(), lru_.end(), 0);
-    lruTick_ = 0;
-}
-
-void
 Cache::prepollute()
 {
-    // Tags above 2^50 lie far outside every region the trace
-    // generators use, so junk lines can never be hit.
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        tags_[i] = packTag(nextJunkTag_++);
-        lru_[i] = 0; // evicted before anything the program touches
-    }
+    // Oldest LRU position: evicted before anything the program
+    // touches.
+    std::fill(tags_.begin(), tags_.end(), kJunkWord);
+    std::fill(lru_.begin(), lru_.end(), 0);
 }
 
 void
 Cache::ageLines(std::uint64_t lines)
 {
     lines = std::min<std::uint64_t>(lines, tags_.size());
+    if (lines == 0)
+        return;
+    // Scan-resistant caches stamp every junk line with its own tick
+    // (see the header comment).
+    const bool per_line = config_.scanResistantInsert;
+    const std::uint64_t tick = per_line ? 0 : ++lruTick_;
+    // The cursor still advances by `lines`: it decides which sets a
+    // later partial aging hits.
+    if (lines == tags_.size() && !per_line) {
+        // Every way is replaced, whatever the cursor.
+        std::fill(tags_.begin(), tags_.end(), kJunkWord);
+        std::fill(lru_.begin(), lru_.end(), tick);
+        ageCursor_ += lines;
+        return;
+    }
     for (std::uint64_t i = 0; i < lines; ++i) {
         const std::uint64_t set = ageCursor_++ % numSets_;
         const std::size_t base = set * config_.assoc;
@@ -152,8 +157,8 @@ Cache::ageLines(std::uint64_t lines)
                 set_lru[w] < set_lru[victim])
                 victim = w;
         }
-        set_tags[victim] = packTag(nextJunkTag_++);
-        set_lru[victim] = ++lruTick_;
+        set_tags[victim] = kJunkWord;
+        set_lru[victim] = per_line ? ++lruTick_ : tick;
     }
 }
 
@@ -164,8 +169,10 @@ Cache::state(StateIo &io)
     io.block(tags_);
     io.block(lru_);
     io.pod(lruTick_);
+    if (io.loading() &&
+        *std::max_element(lru_.begin(), lru_.end()) > lruTick_)
+        io.corrupt("LRU tick");
     io.pod(ageCursor_);
-    io.pod(nextJunkTag_);
     io.pod(stats_.accesses);
     io.pod(stats_.hits);
     io.pod(stats_.misses);

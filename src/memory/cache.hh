@@ -124,24 +124,46 @@ class Cache
      */
     bool invalidate(Addr addr);
 
-    /** Drop all contents (cold state, simulation start). */
-    void reset();
-
     /**
-     * Fill every way with a unique never-referenced junk line.
+     * Fill every way with a junk line at the oldest LRU position.
      *
      * Simulation then starts from steady-state occupancy instead of
      * ramping from an empty cache — equivalent to entering the traced
      * region of interest mid-application, as the paper's traces do.
-     * Junk lines are clean and are evicted by real traffic without
-     * ever hitting.
+     *
+     * A *junk line* is anonymous: every one holds the same sentinel
+     * tag word (kJunkWord), which no generator address maps to, so
+     * it never hits, and it is always clean. Only its validity and
+     * LRU position can affect a result, and two junk lines are
+     * interchangeable: which junk way a miss evicts is invisible to
+     * hits, misses, evictions, writebacks and occupancy (see
+     * ageLines for the one exception). That makes prepollution two
+     * fills of the tag and LRU arrays.
      */
     void prepollute();
 
     /**
      * Emulate the eviction pressure of `lines` skipped line fills:
-     * insert that many most-recently-used junk lines round-robin
-     * across the sets, displacing LRU residents.
+     * insert that many most-recently-used junk lines (see
+     * prepollute) round-robin across the sets, displacing LRU
+     * residents.
+     *
+     * All junk of one call shares one LRU tick, `++lruTick_`: newer
+     * than every line the call leaves in place and older than every
+     * line touched later, which is all that per-insertion ticks
+     * guaranteed, since junk lines are interchangeable. A call that
+     * replaces every way — the usual case after a long fast-forward
+     * — is therefore two fills; a partial call keeps the victim rule
+     * and set order of one insertion at a time. `lines == 0` changes
+     * nothing.
+     *
+     * A scan-resistant cache is the exception: it stamps each junk
+     * line with its own tick and always takes the one-at-a-time
+     * path. Its misses insert at tick 0, so once an invalidation
+     * frees a way two real lines can tie, and then way order decides
+     * which one goes. A shared tick would make misses take junk ways
+     * in way order rather than insertion order, placing real lines
+     * in other ways and changing that outcome.
      *
      * Used when leaving fast-forward mode: state frozen during fast
      * simulation is artificially warm; aging reconstructs the churn
@@ -174,7 +196,9 @@ class Cache
      * replacement/aging counters, plus the statistics (cumulative
      * counters must survive a checkpoint restore bit-identically).
      * Geometry is fixed by construction; only the way count is
-     * stored, and a mismatch throws IoError on load.
+     * stored, and a mismatch throws IoError on load, as does a
+     * stored tick newer than the stored LRU clock (ageLines relies
+     * on `++lruTick_` being newer than every resident line).
      */
     void state(StateIo &io);
 
@@ -182,19 +206,29 @@ class Cache
     /**
      * Tag-store layout: one packed 8-byte word per way holding
      * `tag << 2 | dirty | valid` (synthetic addresses stay below
-     * 2^58 — regions at 2^40 / 2^44, junk tags from 2^50 — so a
-     * line tag fits 62 bits), and a parallel array of LRU ticks.
+     * 2^58 — regions at 2^40 / 2^44 — so a line tag fits 62 bits),
+     * and a parallel array of LRU ticks.
      *
      * Splitting tags from ticks keeps the hit scan — the single
      * hottest loop of detailed simulation — inside one host cache
      * line per set for 8-way caches, and lets it run branchlessly:
      * all ways are compared with conditional moves and at most one
-     * can match (tags are unique per set), so the scan has no
-     * data-dependent early exit to mispredict.
+     * can match, so the scan has no data-dependent early exit to
+     * mispredict. Real tags are unique per set; a set may hold the
+     * junk word (kJunkWord) many times, but it never equals the word
+     * of a real tag.
      */
     static constexpr std::uint64_t kValidBit = 1;
     static constexpr std::uint64_t kDirtyBit = 2;
     static constexpr std::uint32_t kNoWay = ~0u;
+
+    /**
+     * The tag word of every junk line: a valid, clean line with tag
+     * 2^50, far above every region the trace generators use, so no
+     * access can hit it.
+     */
+    static constexpr std::uint64_t kJunkWord =
+        (Addr{1} << 50 << 2) | kValidBit;
 
     /** @return the packed tag word of a valid, clean line. */
     static std::uint64_t
@@ -240,7 +274,6 @@ class Cache
     std::vector<std::uint64_t> lru_;  //!< higher = more recent
     std::uint64_t lruTick_ = 0;
     std::uint64_t ageCursor_ = 0;
-    Addr nextJunkTag_ = Addr{1} << 50;
     CacheStats stats_;
 };
 

@@ -24,13 +24,6 @@ Dram::access(Addr addr, Cycles now)
     return config_.latency + queue;
 }
 
-void
-Dram::reset()
-{
-    for (auto &ch : channels_)
-        ch.reset();
-}
-
 std::uint64_t
 Dram::requests() const
 {

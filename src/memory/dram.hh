@@ -49,15 +49,6 @@ class ServicePort
         return delay;
     }
 
-    /** Forget all reservations (simulation reset). */
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        requests_ = 0;
-        totalQueueCycles_ = 0;
-    }
-
     /** @return configured service period. */
     Cycles period() const { return period_; }
 
@@ -112,9 +103,6 @@ class Dram
      * @return total latency including queueing
      */
     Cycles access(Addr addr, Cycles now);
-
-    /** Forget reservations. */
-    void reset();
 
     /** @return total requests across channels. */
     std::uint64_t requests() const;

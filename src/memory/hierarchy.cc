@@ -206,33 +206,6 @@ Hierarchy::applyFastForwardAging(std::uint64_t skipped_insts,
 }
 
 void
-Hierarchy::reset()
-{
-    for (Cache &c : l1s_) {
-        c.reset();
-        c.prepollute();
-    }
-    for (Cache &c : l2s_) {
-        c.reset();
-        c.prepollute();
-    }
-    if (l3_) {
-        l3_->reset();
-        l3_->prepollute();
-    }
-    dram_.reset();
-    bus_.reset();
-    l2Port_.reset();
-    l3Port_.reset();
-    sharers_.clear();
-    // (FlatMap64::clear keeps its capacity — reset() between runs
-    // does not shrink the directory.)
-    coherenceInvalidations_ = 0;
-    for (Prefetcher &pf : prefetchers_)
-        pf = Prefetcher{};
-}
-
-void
 Hierarchy::state(StateIo &io)
 {
     for (Cache &c : l1s_)

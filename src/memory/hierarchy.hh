@@ -96,9 +96,6 @@ class Hierarchy
     AccessResult access(ThreadId core, Addr addr, bool is_write,
                         Cycles now);
 
-    /** Cold-reset all caches, ports and the sharers directory. */
-    void reset();
-
     /**
      * Reconstruct steady-state churn after a fast-forward phase: age
      * every cache in proportion to the instructions skipped in fast

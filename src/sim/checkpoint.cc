@@ -1,29 +1,41 @@
 #include "sim/checkpoint.hh"
 
 #include <cstring>
-#include <sstream>
+#include <istream>
 
 #include "common/binary_io.hh"
 #include "common/hash.hh"
 
 namespace tp::sim {
 
+namespace {
+
+template <typename T>
+void
+appendPod(std::string &bytes, const T &v)
+{
+    bytes.append(reinterpret_cast<const char *>(&v), sizeof(T));
+}
+
+} // namespace
+
 std::string
 serializeCheckpoint(const Checkpoint &cp)
 {
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    w.pod(kCheckpointMagic);
-    w.pod(kCheckpointFormatVersion);
-    w.pod(cp.boundary);
-    // The payload is written raw (not via str()): warm-state blobs
-    // routinely exceed the reader's 1 MiB string bound.
-    w.pod<std::uint64_t>(cp.state.size());
-    os.write(cp.state.data(),
-             static_cast<std::streamsize>(cp.state.size()));
-    std::string bytes = os.str();
-    const std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
-    bytes.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
+    // One allocation: header, payload and checksum are appended to
+    // a buffer reserved to the exact envelope size.
+    constexpr std::size_t kHeaderBytes =
+        sizeof(kCheckpointMagic) + sizeof(kCheckpointFormatVersion) +
+        2 * sizeof(std::uint64_t);
+    std::string bytes;
+    bytes.reserve(kHeaderBytes + cp.state.size() +
+                  sizeof(std::uint64_t));
+    appendPod(bytes, kCheckpointMagic);
+    appendPod(bytes, kCheckpointFormatVersion);
+    appendPod(bytes, cp.boundary);
+    appendPod<std::uint64_t>(bytes, cp.state.size());
+    bytes.append(cp.state);
+    appendPod(bytes, fnv1a(bytes.data(), bytes.size()));
     return bytes;
 }
 
@@ -40,7 +52,10 @@ deserializeCheckpoint(const std::string &blob,
         throwIoError("'%s': checkpoint checksum mismatch",
                      name.c_str());
 
-    std::istringstream is(blob.substr(0, body), std::ios::binary);
+    // The header is read in place; the payload is copied once,
+    // straight out of `blob`.
+    ByteViewBuf view(blob.data(), body);
+    std::istream is(&view);
     BinaryReader r(is, name);
     if (r.pod<std::uint64_t>() != kCheckpointMagic)
         throwIoError("'%s': not a checkpoint file", name.c_str());
@@ -53,13 +68,14 @@ deserializeCheckpoint(const std::string &blob,
     Checkpoint cp;
     cp.boundary = r.pod<std::uint64_t>();
     const auto len = r.pod<std::uint64_t>();
-    if (len > r.remainingBytes())
+    const std::uint64_t left = r.remainingBytes();
+    if (len > left)
         throwIoError("'%s': checkpoint truncated", name.c_str());
-    cp.state.resize(static_cast<std::size_t>(len));
-    is.read(cp.state.data(), static_cast<std::streamsize>(len));
-    if (!is)
-        throwIoError("'%s': checkpoint truncated", name.c_str());
-    r.expectEof();
+    if (len < left)
+        throwIoError("'%s': trailing bytes after payload",
+                     name.c_str());
+    cp.state.assign(blob.data() + (body - left),
+                    static_cast<std::size_t>(len));
     return cp;
 }
 

@@ -52,8 +52,12 @@ constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
  * any of them changes shape. CheckpointFormat.PayloadDigestsArePinned
  * (tests/test_checkpoint.cc) pins the payload bytes and must be
  * re-pinned together with the bump.
+ *
+ * v2: cache junk lines are anonymous (one sentinel tag word, one LRU
+ * tick per aging call) and the per-cache junk-tag counter is gone.
+ * A v1 store is version skew: its slices cold-replay once.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 1;
+constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /** One recorded sample boundary. */
 struct Checkpoint

@@ -230,6 +230,7 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
     // deterministic event sequence, so the boundary indices — and
     // therefore the interval slices — tile the run exactly.
     std::uint64_t boundary_count = 0;
+    std::size_t state_bytes = 0; // last recorded payload size
     if (observer_ != nullptr) {
         std::vector<std::string> type_names;
         type_names.reserve(trace_.types().size());
@@ -240,8 +241,9 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
     if (hooks != nullptr && hooks->restore != nullptr) {
         if (controller_ == nullptr)
             fatal("checkpoint restore requires a mode controller");
-        std::istringstream is(hooks->restore->state,
-                              std::ios::binary);
+        const std::string &saved = hooks->restore->state;
+        ByteViewBuf view(saved.data(), saved.size());
+        std::istream is(&view);
         BinaryReader r(is, "checkpoint");
         StateIo io(r);
         controller_->state(io);
@@ -276,16 +278,24 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
                         boundary_count, lastCompletion_, mem_.stats());
                 }
                 if (hooks != nullptr && hooks->record) {
-                    Checkpoint cp;
-                    cp.boundary = boundary_count;
-                    std::ostringstream os(std::ios::binary);
+                    // One buffer per boundary: the stream writes into
+                    // the capacity reserved from the last boundary's
+                    // size (plus headroom for the state that grows)
+                    // and hands the buffer back without a copy.
+                    std::string payload;
+                    payload.reserve(state_bytes + state_bytes / 8);
+                    std::ostringstream os(std::move(payload),
+                                          std::ios::binary);
                     BinaryWriter w(os);
                     StateIo io(w);
                     controller_->state(io);
                     state(io);
                     if (!w.good())
                         fatal("checkpoint serialization failed");
-                    cp.state = os.str();
+                    Checkpoint cp;
+                    cp.boundary = boundary_count;
+                    cp.state = std::move(os).str();
+                    state_bytes = cp.state.size();
                     hooks->record(std::move(cp));
                 }
             }

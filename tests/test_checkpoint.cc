@@ -26,6 +26,7 @@
 #include "harness/plan_shard.hh"
 #include "harness/result_cache.hh"
 #include "harness/result_sink.hh"
+#include "memory/cache.hh"
 #include "sim/checkpoint.hh"
 #include "sim/result_io.hh"
 #include "workloads/workloads.hh"
@@ -88,22 +89,34 @@ resealed(std::string blob)
     return blob;
 }
 
+/** @return `blob` with its u32 format version (after the u64 magic)
+ *  set to `version`; `seal` also rewrites the trailing checksum. */
+std::string
+withVersion(std::string blob, std::uint32_t version, bool seal)
+{
+    blob.replace(sizeof(std::uint64_t), sizeof(version),
+                 reinterpret_cast<const char *>(&version),
+                 sizeof(version));
+    return seal ? resealed(std::move(blob)) : blob;
+}
+
 TEST(CheckpointEnvelope, VersionSkewIsRecoverable)
 {
-    std::string blob = sim::serializeCheckpoint(sampleCheckpoint());
-    // The u32 version follows the u64 magic.
-    const std::uint32_t skewed = sim::kCheckpointFormatVersion + 1;
-    blob.replace(sizeof(std::uint64_t), sizeof(skewed),
-                 reinterpret_cast<const char *>(&skewed),
-                 sizeof(skewed));
-    try {
-        sim::deserializeCheckpoint(resealed(std::move(blob)), "skew");
-        FAIL() << "version skew must be an IoError";
-    } catch (const IoError &e) {
-        EXPECT_NE(std::string(e.what()).find("format"),
-                  std::string::npos)
-            << "error must name the version mismatch, got: "
-            << e.what();
+    // A newer build's blob, and one from before anonymous junk lines.
+    for (const std::uint32_t skewed :
+         {sim::kCheckpointFormatVersion + 1, 1u}) {
+        try {
+            sim::deserializeCheckpoint(
+                withVersion(sim::serializeCheckpoint(sampleCheckpoint()),
+                            skewed, true),
+                "skew");
+            FAIL() << "version " << skewed << " must be an IoError";
+        } catch (const IoError &e) {
+            EXPECT_NE(std::string(e.what()).find("format"),
+                      std::string::npos)
+                << "error must name the version mismatch, got: "
+                << e.what();
+        }
     }
 }
 
@@ -114,6 +127,53 @@ TEST(CheckpointEnvelope, BadMagicIsRecoverable)
     EXPECT_THROW(
         sim::deserializeCheckpoint(resealed(std::move(blob)), "mag"),
         IoError);
+}
+
+/**
+ * Cache aging stamps junk with `++lruTick_`, which must be newer than
+ * every resident line: a payload holding a tick past its cache's LRU
+ * clock is corrupt.
+ */
+TEST(CheckpointState, CacheTickNewerThanClockIsRecoverable)
+{
+    const mem::CacheConfig cfg{512, 2, 64, 3, 0}; // 8 ways in all
+    mem::Cache warm("l1", cfg);
+    warm.access(0x0, false);
+    warm.access(0x40, true);
+    warm.ageLines(3);
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    StateIo save(w);
+    warm.state(save);
+    const std::string good = os.str();
+
+    const auto load = [&cfg](const std::string &bytes) {
+        std::istringstream is(bytes, std::ios::binary);
+        BinaryReader r(is, "cache");
+        StateIo io(r);
+        mem::Cache c("l1", cfg);
+        c.state(io);
+        r.expectEof();
+        return c;
+    };
+    EXPECT_TRUE(load(good).contains(0x40));
+
+    // The u64 way count and the tag block precede the LRU block; its
+    // last tick goes one past the stored clock (two misses and one
+    // aging call: 3).
+    std::string bad = good;
+    const std::uint64_t future = 4;
+    bad.replace(8 + 8 * 8 + 7 * 8, sizeof(future),
+                reinterpret_cast<const char *>(&future),
+                sizeof(future));
+    try {
+        load(bad);
+        FAIL() << "a tick past the LRU clock must be an IoError";
+    } catch (const IoError &e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt LRU tick"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------
@@ -438,8 +498,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
     cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
     cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
     const Pinned pinned[] = {
-        {histogram, {0x643cae4b93d8f2c9ULL}},
-        {cholesky, {0xc99b3d154b9cb2ceULL}},
+        {histogram, {0xacca3d65a0d0ef6fULL}},
+        {cholesky, {0x62b070f4ff5048eeULL}},
     };
 
     for (const Pinned &p : pinned) {
@@ -529,6 +589,62 @@ TEST(CheckpointRoundTrip, DamagedStoreDegradesToColdReplay)
     BatchOptions sliced;
     sliced.checkpoints = store.get();
     sliced.checkpointSlices = 3;
+    CollectingSink merged;
+    runPlan(plan, sliced, merged);
+    EXPECT_EQ(outcomeBytes(merged.results()[0]),
+              outcomeBytes(serial.results()[0]));
+}
+
+/**
+ * A store recorded by an older build — manifest and checkpoints of
+ * format v1 — is version skew: the next run does not slice, replays
+ * serially to the same answer and records afresh, so the run after
+ * it slices again.
+ */
+TEST(CheckpointRoundTrip, OlderFormatStoreIsReRecordedOnce)
+{
+    ExperimentPlan plan;
+    plan.deriveSeeds = false;
+    plan.jobs.push_back(sampledJob("histogram", BatchMode::Sampled));
+
+    CollectingSink serial;
+    runPlan(plan, BatchOptions{}, serial);
+
+    const std::unique_ptr<ResultCache> store = tempStore("older");
+    BatchOptions record;
+    record.checkpoints = store.get();
+    CollectingSink recorded;
+    runPlan(plan, record, recorded);
+
+    const std::string mem =
+        memoryConfigDigest(plan.jobs[0].spec.arch.memory);
+    const std::string jd = checkpointJobDigest(plan.jobs[0]);
+    const std::string mkey = checkpointManifestKey(mem, jd);
+    const std::optional<std::string> manifest = store->loadBlob(mkey);
+    ASSERT_TRUE(manifest.has_value());
+    const std::uint64_t boundaries =
+        parseCheckpointManifest(*manifest).value_or(0);
+    ASSERT_GT(boundaries, 0u);
+    for (std::uint64_t b = 1; b <= boundaries; ++b) {
+        const std::string bkey = checkpointBlobKey(mem, jd, b);
+        const std::optional<std::string> blob = store->loadBlob(bkey);
+        ASSERT_TRUE(blob.has_value());
+        store->storeBlob(bkey, withVersion(*blob, 1, true));
+    }
+    // The manifest carries no checksum of its own.
+    store->storeBlob(mkey, withVersion(*manifest, 1, false));
+    ASSERT_FALSE(expandCheckpointSlices(plan, *store, 3).expanded);
+
+    BatchOptions sliced;
+    sliced.checkpoints = store.get();
+    sliced.checkpointSlices = 3;
+    CollectingSink skewed;
+    runPlan(plan, sliced, skewed);
+    EXPECT_EQ(outcomeBytes(skewed.results()[0]),
+              outcomeBytes(serial.results()[0]));
+
+    EXPECT_TRUE(expandCheckpointSlices(plan, *store, 3).expanded)
+        << "the version-skewed store must be recorded afresh";
     CollectingSink merged;
     runPlan(plan, sliced, merged);
     EXPECT_EQ(outcomeBytes(merged.results()[0]),
