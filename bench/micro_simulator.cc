@@ -3,12 +3,17 @@
  * Micro-benchmarks of the simulator substrate (google-benchmark):
  * cache lookups, synthetic instruction-stream generation, detailed
  * core throughput, the cost of an inactive fault-injection site, the
- * two costs of a sample boundary (fast-forward aging and checkpoint
- * framing), and end-to-end engine runs in both modes.
+ * costs of a sample boundary (fast-forward aging, checkpoint framing
+ * and the state block codec), and end-to-end engine runs in both
+ * modes.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <istream>
+#include <sstream>
+
+#include "common/binary_io.hh"
 #include "common/fault_injection.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
@@ -255,6 +260,51 @@ BM_CheckpointFrame(benchmark::State &state)
         static_cast<std::int64_t>(cp.state.size()));
 }
 BENCHMARK(BM_CheckpointFrame)->Unit(benchmark::kMillisecond);
+
+/**
+ * Encoding and decoding the checkpoint state of an aged 8-core
+ * high-performance hierarchy: the run-length block codec over the
+ * tag, LRU and sharers arrays that make up most of every boundary's
+ * payload. Resident lines from random traffic sit between the junk
+ * and empty ways a partial fast-forward aging leaves behind.
+ */
+void
+BM_StateBlockCodec(benchmark::State &state)
+{
+    const mem::MemoryConfig cfg = cpu::highPerformanceConfig().memory;
+    mem::Hierarchy h(cfg, 8);
+    Rng rng(5);
+    Cycles now = 0;
+    const auto traffic = [&](int accesses) {
+        for (int i = 0; i < accesses; ++i, now += 4)
+            h.access(static_cast<ThreadId>(rng.nextBounded(8)),
+                     rng.nextBounded(1ULL << 26) & ~Addr{63},
+                     rng.bernoulli(0.3), now);
+    };
+    traffic(200000);
+    h.applyFastForwardAging(1ULL << 21);
+    traffic(50000);
+
+    mem::Hierarchy back(cfg, 8);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::ostringstream os(std::ios::binary);
+        BinaryWriter w(os);
+        StateIo save(w);
+        h.state(save);
+        const std::string payload = std::move(os).str();
+        ByteViewBuf view(payload.data(), payload.size());
+        std::istream is(&view);
+        BinaryReader r(is, "bench");
+        StateIo load(r);
+        back.state(load);
+        bytes = payload.size();
+        benchmark::DoNotOptimize(&back);
+        benchmark::ClobberMemory();
+    }
+    state.counters["payload_MB"] = static_cast<double>(bytes) / 1e6;
+}
+BENCHMARK(BM_StateBlockCodec)->Unit(benchmark::kMillisecond);
 
 void
 BM_EngineDetailedRun(benchmark::State &state)

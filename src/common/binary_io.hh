@@ -22,11 +22,14 @@
 #ifndef TP_COMMON_BINARY_IO_HH
 #define TP_COMMON_BINARY_IO_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -296,18 +299,50 @@ class StateIo
         }
     }
 
-    /** A fixed-length array of PODs (vector, std::array), one call. */
+    /**
+     * A fixed-length array of PODs (vector, std::array), run-length
+     * encoded at element granularity:
+     *
+     *   u64  span length in bytes, then the span: tokens, each
+     *   u32  header `count << 1 | run`, followed by
+     *        - a run (low bit 1): one element, repeated `count` times
+     *        - a literal (low bit 0): `count` elements verbatim
+     *
+     * The writer stores every run of two or more byte-equal elements
+     * as a run token and the elements between runs as literal spans.
+     * It encodes the whole array in memory and writes the span in one
+     * call. On load the span is read in one call and every count is
+     * bounded by the elements still to fill: a zero count, a token
+     * overrunning the array or the span, tokens that stop short of
+     * the array, bytes after the last token and a span longer than
+     * the bytes left all throw IoError.
+     */
     template <typename C>
     void
     block(C &c)
     {
-        static_assert(std::is_trivially_copyable_v<
-                      std::remove_reference_t<decltype(*std::data(c))>>);
-        const std::size_t n = std::size(c) * sizeof(*std::data(c));
-        if (w_ != nullptr)
-            w_->bytes(std::data(c), n);
-        else
-            r_->bytes(std::data(c), n);
+        using T = std::remove_reference_t<decltype(*std::data(c))>;
+        static_assert(std::is_trivially_copyable_v<T>);
+        auto *elems = reinterpret_cast<unsigned char *>(std::data(c));
+        const std::size_t n = std::size(c);
+        // No valid span is longer: every token holds one element or
+        // more and costs its header plus at most its elements.
+        const std::size_t bound = n * (sizeof(TokenHeader) + sizeof(T));
+        if (w_ != nullptr) {
+            unsigned char *span = buffer(bound);
+            const std::size_t len =
+                encodeRuns<sizeof(T)>(elems, n, span);
+            w_->pod<std::uint64_t>(len);
+            w_->bytes(span, len);
+        } else {
+            const auto len = r_->pod<std::uint64_t>();
+            if (len > bound || len > r_->remainingBytes())
+                corrupt("state block length");
+            unsigned char *span = buffer(static_cast<std::size_t>(len));
+            r_->bytes(span, static_cast<std::size_t>(len));
+            decodeRuns(span, static_cast<std::size_t>(len), elems, n,
+                       sizeof(T));
+        }
     }
 
     /**
@@ -355,8 +390,86 @@ class StateIo
     }
 
   private:
+    /** A block token header: element count << 1 | kRunBit. */
+    using TokenHeader = std::uint32_t;
+    /** Low bit of a token header: the token is a run. */
+    static constexpr TokenHeader kRunBit = 1;
+    /** Largest element count one token header holds. */
+    static constexpr std::size_t kMaxTokenCount =
+        std::numeric_limits<TokenHeader>::max() >> 1;
+
+    /**
+     * Encode `n` elements of `Size` bytes at `elems` as block tokens
+     * into `out`, which has room for the bound block() computes.
+     * @return the span length
+     */
+    template <std::size_t Size>
+    static std::size_t
+    encodeRuns(const unsigned char *elems, std::size_t n,
+               unsigned char *out)
+    {
+        unsigned char *o = out;
+        const auto token = [&o](std::size_t count, TokenHeader run,
+                                const unsigned char *from,
+                                std::size_t bytes) {
+            const auto header =
+                static_cast<TokenHeader>(count << 1) | run;
+            std::memcpy(o, &header, sizeof(header));
+            std::memcpy(o + sizeof(header), from, bytes);
+            o += sizeof(header) + bytes;
+        };
+        const auto literal = [&](std::size_t from, std::size_t to) {
+            while (from < to) {
+                const std::size_t k = std::min(to - from, kMaxTokenCount);
+                token(k, 0, elems + from * Size, k * Size);
+                from += k;
+            }
+        };
+        std::size_t pending = 0; // first element of the open literal
+        for (std::size_t i = 0; i < n;) {
+            const unsigned char *e = elems + i * Size;
+            std::size_t end = i + 1;
+            while (end < n && std::memcmp(elems + end * Size, e, Size) == 0)
+                ++end;
+            if (end - i >= 2) {
+                literal(pending, i);
+                for (std::size_t left = end - i; left > 0;) {
+                    const std::size_t k = std::min(left, kMaxTokenCount);
+                    token(k, kRunBit, e, Size);
+                    left -= k;
+                }
+                pending = end;
+            }
+            i = end;
+        }
+        literal(pending, n);
+        return static_cast<std::size_t>(o - out);
+    }
+
+    /**
+     * Decode the block span `in` of `len` bytes into `n` elements of
+     * `size` bytes at `elems`; throws IoError on any malformed token.
+     */
+    void decodeRuns(const unsigned char *in, std::size_t len,
+                    unsigned char *elems, std::size_t n,
+                    std::size_t size) const;
+
+    /** @return the reused block buffer, grown to `bytes` or more. */
+    unsigned char *
+    buffer(std::size_t bytes)
+    {
+        if (bytes > bufferBytes_) {
+            buffer_ =
+                std::make_unique_for_overwrite<unsigned char[]>(bytes);
+            bufferBytes_ = bytes;
+        }
+        return buffer_.get();
+    }
+
     BinaryWriter *w_ = nullptr;
     BinaryReader *r_ = nullptr;
+    std::unique_ptr<unsigned char[]> buffer_;
+    std::size_t bufferBytes_ = 0;
 };
 
 } // namespace tp

@@ -1,5 +1,7 @@
 #include "common/hash.hh"
 
+#include <cstring>
+
 namespace tp {
 
 std::uint64_t
@@ -12,6 +14,64 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+namespace {
+
+/**
+ * One checksum step: xor in `w`, multiply by an odd constant, fold
+ * the high half down. Each part is invertible, so the step is a
+ * bijection of `s` (for fixed `w`) and of `w` (for fixed `s`).
+ */
+inline std::uint64_t
+mixWord(std::uint64_t s, std::uint64_t w)
+{
+    s = (s ^ w) * 0x9fb21c651e98df25ULL;
+    return s ^ (s >> 29);
+}
+
+/** Seed of checksum64; its values are on disk, so it is fixed. */
+constexpr std::uint64_t kChecksumSeed = 0x54504348454b3634ULL;
+
+inline std::uint64_t
+loadWord(const unsigned char *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+}
+
+} // namespace
+
+std::uint64_t
+checksum64(const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    const std::uint64_t seed = kChecksumSeed;
+    std::uint64_t a = seed ^ 0x9e3779b97f4a7c15ULL;
+    std::uint64_t b = seed ^ 0xc2b2ae3d27d4eb4fULL;
+    std::uint64_t c = seed ^ 0x165667b19e3779f9ULL;
+    std::uint64_t d = seed ^ 0x85ebca77c2b2ae63ULL;
+    std::size_t i = 0;
+    for (; len - i >= 32; i += 32) {
+        a = mixWord(a, loadWord(p + i));
+        b = mixWord(b, loadWord(p + i + 8));
+        c = mixWord(c, loadWord(p + i + 16));
+        d = mixWord(d, loadWord(p + i + 24));
+    }
+    std::uint64_t h = mixWord(seed, len);
+    h = mixWord(h, a);
+    h = mixWord(h, b);
+    h = mixWord(h, c);
+    h = mixWord(h, d);
+    for (; len - i >= 8; i += 8)
+        h = mixWord(h, loadWord(p + i));
+    if (i < len) {
+        std::uint64_t tail = 0;
+        std::memcpy(&tail, p + i, len - i);
+        h = mixWord(h, tail);
+    }
+    return mixWord(h, 0x2545f4914f6cdd1dULL);
 }
 
 std::string

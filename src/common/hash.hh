@@ -1,14 +1,21 @@
 /**
  * @file
- * Stable hashing for cache keys and file checksums.
+ * Stable hashing: FNV-1a for keys, checksum64 for integrity.
  *
- * The result cache addresses entries by a hash of configuration and
- * trace content, so the hash must be stable across runs, processes
- * and library versions — std::hash guarantees none of that. FNV-1a
- * over an explicitly serialized byte buffer is used instead; for
- * content addressing, two independently seeded 64-bit digests are
- * concatenated into a 128-bit key so accidental collisions are out
- * of reach at any realistic cache population.
+ * Keys. The result cache addresses entries by a hash of configuration
+ * and trace content, so the hash must be stable across runs,
+ * processes and library versions — std::hash guarantees none of
+ * that. FNV-1a over an explicitly serialized byte buffer is used
+ * instead; for content addressing, two independently seeded 64-bit
+ * digests are concatenated into a 128-bit key so accidental
+ * collisions are out of reach at any realistic cache population.
+ * Fault plans seed their per-rule streams from it too. Its values
+ * name things on disk, so they must never change.
+ *
+ * Integrity. Checkpoint, result-cache and result-stream envelopes
+ * guard their payloads with checksum64 instead: FNV-1a is byte-serial
+ * (one multiply per byte), while checksum64 runs four independent
+ * lanes over 8-byte words and keeps pace with a memory copy.
  */
 
 #ifndef TP_COMMON_HASH_HH
@@ -26,6 +33,21 @@ inline constexpr std::uint64_t kFnvOffsetBasis =
 /** FNV-1a over a raw byte range. */
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = kFnvOffsetBasis);
+
+/**
+ * Word-parallel 64-bit integrity checksum of a raw byte range.
+ *
+ * Four lanes each take every fourth 8-byte word (host byte order)
+ * through a multiply–xorshift step; the lanes, the remaining whole
+ * words and the zero-padded final bytes are then folded into one
+ * value seeded with a fixed constant and `len`. Every step is a
+ * bijection of its running value for a fixed input word and of the
+ * word for a fixed running value, so changing any single word — or
+ * any single byte of the tail — always changes the result. It
+ * detects damage; it is not a key (use fnv1a/hexDigest128 for
+ * those).
+ */
+std::uint64_t checksum64(const void *data, std::size_t len);
 
 /** @return `v` as 16 lowercase hex characters. */
 std::string toHex(std::uint64_t v);

@@ -275,7 +275,7 @@ BatchRunner::runJob(const JobSpec &job, std::size_t index,
                     if (blob) {
                         try {
                             restore = sim::deserializeCheckpoint(
-                                *blob, bkey);
+                                std::move(*blob), bkey);
                             if (restore.boundary ==
                                 job.startBoundary)
                                 hooks.restore = &restore;
@@ -303,7 +303,7 @@ BatchRunner::runJob(const JobSpec &job, std::size_t index,
                     hooks.record = [&](sim::Checkpoint &&cp) {
                         lastBoundary = cp.boundary;
                         std::string blob =
-                            sim::serializeCheckpoint(cp);
+                            sim::serializeCheckpoint(std::move(cp));
                         // Injected damage to the serialized warm
                         // state must be caught by the restore-time
                         // checksum (cold replay); errno loses the
@@ -318,7 +318,7 @@ BatchRunner::runJob(const JobSpec &job, std::size_t index,
                         }
                         options_.checkpoints->storeBlob(
                             checkpointBlobKey(memDigest, jobDigest,
-                                              cp.boundary),
+                                              lastBoundary),
                             blob);
                     };
                 }

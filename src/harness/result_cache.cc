@@ -26,7 +26,8 @@ namespace tp::harness {
 namespace {
 
 constexpr std::uint64_t kEntryMagic = 0x5450524553433101ULL; // TPRESC1.
-constexpr std::uint32_t kEnvelopeVersion = 1;
+/** v2: the payload checksum is checksum64 (common/hash), not FNV-1a. */
+constexpr std::uint32_t kEnvelopeVersion = 2;
 /**
  * Bump when the key derivation below changes. v2: keys carry an
  * entry-kind tag, RunSpec bytes come from harness::writeRunSpec, and
@@ -345,7 +346,7 @@ ResultCache::loadPayload(const std::string &key)
             throwIoError("'%s': file truncated", path.c_str());
         const std::uint64_t checksum = r.pod<std::uint64_t>();
         r.expectEof();
-        if (checksum != fnv1a(payload.data(), payload.size()))
+        if (checksum != checksum64(payload.data(), payload.size()))
             throwIoError("'%s': payload checksum mismatch",
                          path.c_str());
 
@@ -489,10 +490,8 @@ ResultCache::storePayload(const std::string &key,
             .string();
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("result cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
+        if (!out)
+            throwIoError("'%s': cannot create", tmp.c_str());
         BinaryWriter w(out);
         w.pod(kEntryMagic);
         w.pod(kEnvelopeVersion);
@@ -500,12 +499,11 @@ ResultCache::storePayload(const std::string &key,
         w.pod<std::uint64_t>(payload.size());
         out.write(payload.data(),
                   static_cast<std::streamsize>(payload.size()));
-        w.pod(fnv1a(payload.data(), payload.size()));
+        w.pod(checksum64(payload.data(), payload.size()));
         if (!w.good()) {
-            warn("result cache: error writing '%s'", tmp.c_str());
             std::error_code ec;
             fs::remove(tmp, ec);
-            return;
+            throwIoError("'%s': short write", tmp.c_str());
         }
     }
 
@@ -545,10 +543,10 @@ ResultCache::storePayload(const std::string &key,
     std::error_code ec;
     fs::rename(tmp, path, ec); // atomic publish
     if (ec) {
-        warn("result cache: cannot publish '%s': %s", path.c_str(),
-             ec.message().c_str());
+        const std::string why = ec.message();
         fs::remove(tmp, ec);
-        return;
+        throwIoError("'%s': cannot publish: %s", path.c_str(),
+                     why.c_str());
     }
 
     std::error_code sec;

@@ -29,9 +29,11 @@
  *
  * Entry files. `<dir>/<key>.tpres` holds magic, envelope version, the
  * embedded key (verified on load), the length-prefixed payload
- * (sim/result_io) and an FNV-1a checksum of the payload. Truncated,
- * torn or otherwise damaged entries fail the checksum or raise
- * IoError and count as a miss — they cannot corrupt a figure.
+ * (sim/result_io) and a checksum64 (common/hash) of the payload.
+ * Truncated, torn or otherwise damaged entries fail the checksum or
+ * raise IoError and count as a miss — they cannot corrupt a figure.
+ * An entry of an older envelope version misses the same way, so it
+ * is recomputed and overwritten once.
  *
  * Concurrency. Writers serialize to a process/thread-unique temp file
  * in the cache directory and publish it with an atomic rename, so
@@ -249,7 +251,12 @@ class ResultCache
      * payload and count hits/misses.
      */
     std::optional<std::string> loadPayload(const std::string &key);
-    /** Publish `payload` under `key` (atomic rename), then evict. */
+    /**
+     * Publish `payload` under `key` (atomic rename), then evict.
+     * @throws IoError when the temp file cannot be created or
+     *         written in full, or the publish rename fails; callers
+     *         report it through noteStoreFailure.
+     */
     void storePayload(const std::string &key,
                       const std::string &payload);
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -54,16 +55,20 @@ Cache::victimWay(const std::uint64_t *set_tags,
 {
     // Order matters for replay equivalence: the first invalid way
     // wins; otherwise the first way carrying the strictly smallest
-    // LRU tick (ties keep the earlier way).
+    // LRU tick (ties keep the earlier way). One key orders both — 0
+    // for an invalid way, tick + 1 for a valid one (state() rejects
+    // the clock value that would wrap) — so a select-only scan for
+    // the first strict minimum picks the same way without branches.
+    const auto key = [set_tags, set_lru](std::uint32_t w) {
+        return (set_lru[w] + 1) & (0 - (set_tags[w] & kValidBit));
+    };
     std::uint32_t victim = 0;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!validWord(set_tags[w])) {
-            if (validWord(set_tags[victim]))
-                victim = w;
-        } else if (validWord(set_tags[victim]) &&
-                   set_lru[w] < set_lru[victim]) {
-            victim = w;
-        }
+    std::uint64_t best = key(0);
+    for (std::uint32_t w = 1; w < config_.assoc; ++w) {
+        const std::uint64_t k = key(w);
+        const bool older = k < best;
+        victim = older ? w : victim;
+        best = older ? k : best;
     }
     return victim;
 }
@@ -146,7 +151,9 @@ Cache::ageLines(std::uint64_t lines)
         std::uint64_t *const set_tags = &tags_[base];
         std::uint64_t *const set_lru = &lru_[base];
         // First invalid way, else first strict-minimum LRU (the
-        // original scan's break-on-invalid order).
+        // original scan's break-on-invalid order). Not victimWay's
+        // rule: with way 0 invalid this takes a later invalid way,
+        // and a scan-resistant cache's later ties depend on which.
         std::uint32_t victim = 0;
         for (std::uint32_t w = 1; w < config_.assoc; ++w) {
             if (!validWord(set_tags[w])) {
@@ -169,6 +176,11 @@ Cache::state(StateIo &io)
     io.block(tags_);
     io.block(lru_);
     io.pod(lruTick_);
+    // victimWay keys a valid way by its tick + 1, which must not
+    // wrap; every tick is at most the clock.
+    if (io.loading() &&
+        lruTick_ == std::numeric_limits<std::uint64_t>::max())
+        io.corrupt("LRU clock");
     if (io.loading() &&
         *std::max_element(lru_.begin(), lru_.end()) > lruTick_)
         io.corrupt("LRU tick");

@@ -17,43 +17,62 @@ appendPod(std::string &bytes, const T &v)
     bytes.append(reinterpret_cast<const char *>(&v), sizeof(T));
 }
 
+constexpr std::size_t kHeaderBytes =
+    sizeof(kCheckpointMagic) + sizeof(kCheckpointFormatVersion) +
+    2 * sizeof(std::uint64_t);
+
 } // namespace
+
+std::string
+serializeCheckpoint(Checkpoint &&cp)
+{
+    // Framed in the payload's own buffer: the header moves in front
+    // of it and the checksum goes behind it.
+    std::string header;
+    appendPod(header, kCheckpointMagic);
+    appendPod(header, kCheckpointFormatVersion);
+    appendPod(header, cp.boundary);
+    appendPod<std::uint64_t>(header, cp.state.size());
+    std::string bytes = std::move(cp.state);
+    bytes.insert(0, header);
+    appendPod(bytes, checksum64(bytes.data(), bytes.size()));
+    return bytes;
+}
 
 std::string
 serializeCheckpoint(const Checkpoint &cp)
 {
-    // One allocation: header, payload and checksum are appended to
-    // a buffer reserved to the exact envelope size.
-    constexpr std::size_t kHeaderBytes =
-        sizeof(kCheckpointMagic) + sizeof(kCheckpointFormatVersion) +
-        2 * sizeof(std::uint64_t);
-    std::string bytes;
-    bytes.reserve(kHeaderBytes + cp.state.size() +
-                  sizeof(std::uint64_t));
-    appendPod(bytes, kCheckpointMagic);
-    appendPod(bytes, kCheckpointFormatVersion);
-    appendPod(bytes, cp.boundary);
-    appendPod<std::uint64_t>(bytes, cp.state.size());
-    bytes.append(cp.state);
-    appendPod(bytes, fnv1a(bytes.data(), bytes.size()));
-    return bytes;
+    // The copy has room for the header and checksum, so framing it
+    // does not reallocate.
+    Checkpoint copy;
+    copy.boundary = cp.boundary;
+    copy.state.reserve(kHeaderBytes + cp.state.size() +
+                       sizeof(std::uint64_t));
+    copy.state = cp.state;
+    return serializeCheckpoint(std::move(copy));
 }
 
 Checkpoint
 deserializeCheckpoint(const std::string &blob,
                       const std::string &name)
 {
+    return deserializeCheckpoint(std::string(blob), name);
+}
+
+Checkpoint
+deserializeCheckpoint(std::string &&blob, const std::string &name)
+{
     if (blob.size() < sizeof(std::uint64_t))
         throwIoError("'%s': checkpoint truncated", name.c_str());
     const std::size_t body = blob.size() - sizeof(std::uint64_t);
     std::uint64_t stored = 0;
     std::memcpy(&stored, blob.data() + body, sizeof(stored));
-    if (fnv1a(blob.data(), body) != stored)
+    if (checksum64(blob.data(), body) != stored)
         throwIoError("'%s': checkpoint checksum mismatch",
                      name.c_str());
 
-    // The header is read in place; the payload is copied once,
-    // straight out of `blob`.
+    // The header is read in place; the payload then keeps `blob`'s
+    // buffer.
     ByteViewBuf view(blob.data(), body);
     std::istream is(&view);
     BinaryReader r(is, name);
@@ -74,8 +93,9 @@ deserializeCheckpoint(const std::string &blob,
     if (len < left)
         throwIoError("'%s': trailing bytes after payload",
                      name.c_str());
-    cp.state.assign(blob.data() + (body - left),
-                    static_cast<std::size_t>(len));
+    cp.state = std::move(blob);
+    cp.state.resize(body);
+    cp.state.erase(0, body - static_cast<std::size_t>(len));
     return cp;
 }
 

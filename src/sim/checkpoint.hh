@@ -28,7 +28,13 @@
  *   u64  boundary index
  *   u64  payload length
  *   ...  payload (controller state, then engine state)
- *   u64  FNV-1a checksum of everything above
+ *   u64  checksum64 (common/hash) of everything above
+ *
+ * Inside the payload every StateIo::block() array — cache tag and
+ * LRU arrays, the sharers directory, ROB rings, RNG states — is
+ * run-length encoded at element granularity (common/binary_io.hh),
+ * so the long runs of junk and empty ways fast-forward aging leaves
+ * behind cost a few bytes each.
  *
  * Truncation, bit flips and version skew all surface as the
  * recoverable IoError (common/binary_io.hh), which callers treat as
@@ -55,9 +61,12 @@ constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
  *
  * v2: cache junk lines are anonymous (one sentinel tag word, one LRU
  * tick per aging call) and the per-cache junk-tag counter is gone.
- * A v1 store is version skew: its slices cold-replay once.
+ * v3: block() arrays are run-length encoded and the envelope checksum
+ * is checksum64 instead of FNV-1a.
+ * An older store is version skew: its slices cold-replay once and the
+ * job records afresh.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 2;
+constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /** One recorded sample boundary. */
 struct Checkpoint
@@ -77,8 +86,11 @@ struct Checkpoint
 
 /**
  * @return `cp` framed in the checkpoint envelope (see file comment).
+ *         The rvalue overload frames the payload in its own buffer
+ *         instead of a copy.
  */
 std::string serializeCheckpoint(const Checkpoint &cp);
+std::string serializeCheckpoint(Checkpoint &&cp);
 
 /**
  * Parse a checkpoint envelope.
@@ -88,6 +100,9 @@ std::string serializeCheckpoint(const Checkpoint &cp);
  *         checksum mismatch
  */
 Checkpoint deserializeCheckpoint(const std::string &blob,
+                                 const std::string &name);
+/** As above; the payload keeps `blob`'s buffer instead of a copy. */
+Checkpoint deserializeCheckpoint(std::string &&blob,
                                  const std::string &name);
 
 /**

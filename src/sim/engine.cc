@@ -278,23 +278,27 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
                         boundary_count, lastCompletion_, mem_.stats());
                 }
                 if (hooks != nullptr && hooks->record) {
-                    // One buffer per boundary: the stream writes into
-                    // the capacity reserved from the last boundary's
-                    // size (plus headroom for the state that grows)
-                    // and hands the buffer back without a copy.
-                    std::string payload;
-                    payload.reserve(state_bytes + state_bytes / 8);
-                    std::ostringstream os(std::move(payload),
-                                          std::ios::binary);
-                    BinaryWriter w(os);
-                    StateIo io(w);
-                    controller_->state(io);
-                    state(io);
-                    if (!w.good())
-                        fatal("checkpoint serialization failed");
                     Checkpoint cp;
                     cp.boundary = boundary_count;
-                    cp.state = std::move(os).str();
+                    {
+                        // One buffer per boundary: the stream writes
+                        // into the capacity reserved from the last
+                        // boundary's size (plus headroom for the
+                        // state that grows) and hands the buffer
+                        // back without a copy. The encoder's block
+                        // buffer is freed before `record` runs.
+                        std::string payload;
+                        payload.reserve(state_bytes + state_bytes / 8);
+                        std::ostringstream os(std::move(payload),
+                                              std::ios::binary);
+                        BinaryWriter w(os);
+                        StateIo io(w);
+                        controller_->state(io);
+                        state(io);
+                        if (!w.good())
+                            fatal("checkpoint serialization failed");
+                        cp.state = std::move(os).str();
+                    }
                     state_bytes = cp.state.size();
                     hooks->record(std::move(cp));
                 }

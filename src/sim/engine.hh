@@ -92,6 +92,15 @@ class Engine
     SimResult run(ModeController *controller = nullptr,
                   const CheckpointHooks *hooks = nullptr);
 
+    /**
+     * Checkpoint the engine's dynamic state (cores, memory, runtime,
+     * event queue, counters, RNGs — everything but the config, the
+     * trace and the accumulated TaskRecords); throws IoError on
+     * corruption. run() records and restores it after the
+     * controller's state; loading is only valid before run().
+     */
+    void state(StateIo &io);
+
   private:
     /** Execution state of one simulated core. */
     struct CoreState
@@ -117,14 +126,6 @@ class Engine
 
     /** @return snapshot for controller callbacks. */
     EngineStatus status(Cycles now, bool counting_new_task) const;
-
-    /**
-     * Checkpoint the engine's dynamic state (cores, memory, runtime,
-     * event queue, counters, RNGs — everything but the config, the
-     * trace and the accumulated TaskRecords); throws IoError on
-     * corruption.
-     */
-    void state(StateIo &io);
 
     SimConfig config_;
     const trace::TaskTrace &trace_;

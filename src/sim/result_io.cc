@@ -124,7 +124,7 @@ writeEnvelope(std::ostream &out, const std::string &payload)
     w.pod<std::uint64_t>(payload.size());
     out.write(payload.data(),
               static_cast<std::streamsize>(payload.size()));
-    w.pod(fnv1a(payload.data(), payload.size()));
+    w.pod(checksum64(payload.data(), payload.size()));
 }
 
 std::string
@@ -148,7 +148,7 @@ readEnvelope(std::istream &in, const std::string &name)
         throwIoError("'%s': file truncated", name.c_str());
     const std::uint64_t checksum = r.pod<std::uint64_t>();
     r.expectEof();
-    if (checksum != fnv1a(payload.data(), payload.size()))
+    if (checksum != checksum64(payload.data(), payload.size()))
         throwIoError("'%s': envelope checksum mismatch",
                      name.c_str());
     return payload;
@@ -211,7 +211,7 @@ EnvelopeStreamReader::poll(std::vector<std::string> &out)
         const std::uint64_t checksum = r.pod<std::uint64_t>();
         // All bytes of this envelope are present, so a mismatch is
         // definite corruption, not an in-flight append.
-        if (checksum != fnv1a(payload.data(), payload.size()))
+        if (checksum != checksum64(payload.data(), payload.size()))
             throwIoError("'%s': envelope checksum mismatch at "
                          "offset %llu",
                          path_.c_str(),

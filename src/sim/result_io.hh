@@ -66,13 +66,15 @@ inline constexpr std::uint32_t kSampledFormatVersion = 3;
 /**
  * Version of the checksummed result envelope (see writeEnvelope).
  * Bump when the framing itself changes shape.
+ *
+ * v2: the payload checksum is checksum64 (common/hash), not FNV-1a.
  */
-inline constexpr std::uint32_t kEnvelopeFormatVersion = 1;
+inline constexpr std::uint32_t kEnvelopeFormatVersion = 2;
 
 /**
  * Wrap `payload` in the shared result envelope: magic, envelope
- * version, 64-bit payload length, the payload bytes, and an FNV-1a
- * checksum of the payload. This is the framing of every result file
+ * version, 64-bit payload length, the payload bytes, and a
+ * checksum64 of the payload. This is the framing of every result file
  * shipped between processes (harness/worker result files); combined
  * with write-to-temp + atomic-rename publish, a reader either sees a
  * complete, checksum-verified payload or a recoverable IoError —

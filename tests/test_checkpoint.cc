@@ -2,7 +2,8 @@
  * @file
  * Tests of the warm-state checkpoint subsystem (live-points): the
  * envelope format's corruption battery (truncation, bit flips,
- * version skew), the manifest framing, slice expansion/merge
+ * version skew), damaged block tokens inside a real payload, the
+ * manifest framing, slice expansion/merge
  * bookkeeping, and the end-to-end guarantee — a checkpoint-parallel
  * run is bit-identical to the serial replay for every workload in
  * the registry, and a damaged store degrades to cold replay, never
@@ -11,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.hh"
@@ -27,7 +32,9 @@
 #include "harness/result_cache.hh"
 #include "harness/result_sink.hh"
 #include "memory/cache.hh"
+#include "sampling/taskpoint.hh"
 #include "sim/checkpoint.hh"
+#include "sim/engine.hh"
 #include "sim/result_io.hh"
 #include "workloads/workloads.hh"
 
@@ -83,7 +90,7 @@ std::string
 resealed(std::string blob)
 {
     const std::size_t body = blob.size() - sizeof(std::uint64_t);
-    const std::uint64_t sum = fnv1a(blob.data(), body);
+    const std::uint64_t sum = checksum64(blob.data(), body);
     blob.replace(body, sizeof(sum),
                  reinterpret_cast<const char *>(&sum), sizeof(sum));
     return blob;
@@ -102,9 +109,10 @@ withVersion(std::string blob, std::uint32_t version, bool seal)
 
 TEST(CheckpointEnvelope, VersionSkewIsRecoverable)
 {
-    // A newer build's blob, and one from before anonymous junk lines.
+    // A newer build's blob, one from before run-length encoded
+    // blocks and one from before anonymous junk lines.
     for (const std::uint32_t skewed :
-         {sim::kCheckpointFormatVersion + 1, 1u}) {
+         {sim::kCheckpointFormatVersion + 1, 2u, 1u}) {
         try {
             sim::deserializeCheckpoint(
                 withVersion(sim::serializeCheckpoint(sampleCheckpoint()),
@@ -129,6 +137,82 @@ TEST(CheckpointEnvelope, BadMagicIsRecoverable)
         IoError);
 }
 
+/** A small warm cache (8 ways in all) and its saved state. */
+struct SavedCache
+{
+    const mem::CacheConfig cfg{512, 2, 64, 3, 0};
+    std::string bytes;
+
+    SavedCache()
+    {
+        mem::Cache warm("l1", cfg);
+        warm.access(0x0, false);
+        warm.access(0x40, true);
+        warm.ageLines(3);
+        std::ostringstream os(std::ios::binary);
+        BinaryWriter w(os);
+        StateIo save(w);
+        warm.state(save);
+        bytes = os.str();
+    }
+
+    mem::Cache
+    load(const std::string &state) const
+    {
+        std::istringstream is(state, std::ios::binary);
+        BinaryReader r(is, "cache");
+        StateIo io(r);
+        mem::Cache c("l1", cfg);
+        c.state(io);
+        r.expectEof();
+        return c;
+    }
+
+    /**
+     * @return the saved state re-encoded after `edit` changed its LRU
+     *         ticks or clock. Cache::state stores the way count, the
+     *         tag block, the LRU block, the LRU clock, then the rest.
+     */
+    std::string
+    edited(const std::function<void(std::vector<std::uint64_t> &,
+                                    std::uint64_t &)> &edit) const
+    {
+        std::istringstream is(bytes, std::ios::binary);
+        BinaryReader r(is, "cache");
+        StateIo in(r);
+        std::vector<std::uint64_t> tags(8), lru(8);
+        in.count(8, "way count");
+        in.block(tags);
+        in.block(lru);
+        std::uint64_t clock = r.pod<std::uint64_t>();
+        const std::string rest(std::istreambuf_iterator<char>(is), {});
+        edit(lru, clock);
+
+        std::ostringstream os(std::ios::binary);
+        BinaryWriter w(os);
+        StateIo out(w);
+        out.count(8, "way count");
+        out.block(tags);
+        out.block(lru);
+        out.pod(clock);
+        w.bytes(rest.data(), rest.size());
+        return os.str();
+    }
+};
+
+void
+expectCorrupt(const SavedCache &saved, const std::string &bad,
+              const char *needle)
+{
+    try {
+        saved.load(bad);
+        FAIL() << "expected an IoError naming " << needle;
+    } catch (const IoError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
 /**
  * Cache aging stamps junk with `++lruTick_`, which must be newer than
  * every resident line: a payload holding a tick past its cache's LRU
@@ -136,44 +220,31 @@ TEST(CheckpointEnvelope, BadMagicIsRecoverable)
  */
 TEST(CheckpointState, CacheTickNewerThanClockIsRecoverable)
 {
-    const mem::CacheConfig cfg{512, 2, 64, 3, 0}; // 8 ways in all
-    mem::Cache warm("l1", cfg);
-    warm.access(0x0, false);
-    warm.access(0x40, true);
-    warm.ageLines(3);
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    StateIo save(w);
-    warm.state(save);
-    const std::string good = os.str();
+    const SavedCache saved;
+    EXPECT_TRUE(saved.load(saved.bytes).contains(0x40));
+    // Two misses and one aging call: the clock is 3.
+    expectCorrupt(saved,
+                  saved.edited([](std::vector<std::uint64_t> &lru,
+                                  std::uint64_t &clock) {
+                      ASSERT_EQ(clock, 3u);
+                      lru[7] = clock + 1;
+                  }),
+                  "corrupt LRU tick");
+}
 
-    const auto load = [&cfg](const std::string &bytes) {
-        std::istringstream is(bytes, std::ios::binary);
-        BinaryReader r(is, "cache");
-        StateIo io(r);
-        mem::Cache c("l1", cfg);
-        c.state(io);
-        r.expectEof();
-        return c;
-    };
-    EXPECT_TRUE(load(good).contains(0x40));
-
-    // The u64 way count and the tag block precede the LRU block; its
-    // last tick goes one past the stored clock (two misses and one
-    // aging call: 3).
-    std::string bad = good;
-    const std::uint64_t future = 4;
-    bad.replace(8 + 8 * 8 + 7 * 8, sizeof(future),
-                reinterpret_cast<const char *>(&future),
-                sizeof(future));
-    try {
-        load(bad);
-        FAIL() << "a tick past the LRU clock must be an IoError";
-    } catch (const IoError &e) {
-        EXPECT_NE(std::string(e.what()).find("corrupt LRU tick"),
-                  std::string::npos)
-            << e.what();
-    }
+/**
+ * The victim scan keys a valid way by its tick + 1, so the one clock
+ * value under which that could wrap is corrupt.
+ */
+TEST(CheckpointState, CacheClockAtWrapIsRecoverable)
+{
+    const SavedCache saved;
+    expectCorrupt(saved,
+                  saved.edited([](std::vector<std::uint64_t> &,
+                                  std::uint64_t &clock) {
+                      clock = ~std::uint64_t{0};
+                  }),
+                  "corrupt LRU clock");
 }
 
 // ---------------------------------------------------------------
@@ -478,7 +549,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * Pins the checkpoint payload layout: the FNV-1a digest of every
+ * Pins the checkpoint payload layout: the checksum64 of every
  * boundary two fixed jobs record. Any change to a component's
  * state(StateIo &) that moves a payload byte trips this test, and
  * a store recorded by an older build would then be misread.
@@ -498,8 +569,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
     cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
     cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
     const Pinned pinned[] = {
-        {histogram, {0xacca3d65a0d0ef6fULL}},
-        {cholesky, {0x62b070f4ff5048eeULL}},
+        {histogram, {0x4fa287c9b60a877aULL}},
+        {cholesky, {0x6d8b1bf2884d3364ULL}},
     };
 
     for (const Pinned &p : pinned) {
@@ -508,7 +579,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
         std::vector<std::uint64_t> digests;
         sim::CheckpointHooks hooks;
         hooks.record = [&digests](sim::Checkpoint &&cp) {
-            digests.push_back(fnv1a(cp.state.data(), cp.state.size()));
+            digests.push_back(
+                checksum64(cp.state.data(), cp.state.size()));
         };
         runSampled(trace, p.job.spec, p.job.sampling, &hooks);
         std::string got;
@@ -517,6 +589,136 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
         EXPECT_EQ(digests, p.digests)
             << p.job.label << " payload digests: " << got;
     }
+}
+
+/** A ByteViewBuf logging every read as (offset, bytes). */
+class ReadLog : public ByteViewBuf
+{
+  public:
+    using ByteViewBuf::ByteViewBuf;
+
+    std::vector<std::pair<std::size_t, std::size_t>> reads;
+
+  protected:
+    std::streamsize
+    xsgetn(char *s, std::streamsize n) override
+    {
+        reads.emplace_back(static_cast<std::size_t>(gptr() - eback()),
+                           static_cast<std::size_t>(n));
+        return ByteViewBuf::xsgetn(s, n);
+    }
+};
+
+/**
+ * @return the payload offsets of the token headers of every block
+ *         span in `cp` (StateIo::block), found by loading it into a
+ *         fresh engine and controller through a ReadLog. A span is
+ *         a u64 read of L followed by a read of L bytes that parse as
+ *         whole tokens of 4-, 8- or 16-byte elements.
+ */
+std::vector<std::size_t>
+blockTokenHeaders(const sim::Checkpoint &cp, const JobSpec &job,
+                  const trace::TaskTrace &trace)
+{
+    sim::SimConfig cfg = makeSimConfig(job.spec);
+    cfg.noise.enabled = false;
+    sim::Engine engine(cfg, trace);
+    sampling::TaskPointController controller(trace, job.sampling);
+    ReadLog log(cp.state.data(), cp.state.size());
+    std::istream is(&log);
+    BinaryReader r(is, "walk");
+    StateIo io(r);
+    controller.state(io);
+    engine.state(io);
+    r.expectEof();
+
+    const auto *bytes =
+        reinterpret_cast<const unsigned char *>(cp.state.data());
+    std::vector<std::size_t> headers;
+    for (std::size_t i = 0; i + 1 < log.reads.size(); ++i) {
+        const auto [at, size] = log.reads[i];
+        std::uint64_t len = 0;
+        if (size != sizeof(len))
+            continue;
+        std::memcpy(&len, bytes + at, sizeof(len));
+        const auto [span, span_len] = log.reads[i + 1];
+        if (len == 0 || span_len != len)
+            continue;
+        for (const std::size_t elem : {4, 8, 16}) {
+            std::vector<std::size_t> found;
+            std::size_t pos = 0;
+            while (span_len - pos >= 4) {
+                std::uint32_t h;
+                std::memcpy(&h, bytes + span + pos, sizeof(h));
+                const std::size_t count = h >> 1;
+                const std::size_t body = (h & 1) ? elem : count * elem;
+                if (count == 0 || span_len - pos - 4 < body)
+                    break;
+                found.push_back(span + pos);
+                pos += 4 + body;
+            }
+            if (pos == span_len) {
+                headers.insert(headers.end(), found.begin(), found.end());
+                break;
+            }
+        }
+    }
+    return headers;
+}
+
+/**
+ * The checksum guards the envelope, so a damaged token reaches the
+ * decoder only when the checksum is resealed over it. Then a flipped
+ * header bit must still either restore or throw IoError: the decoder
+ * bounds every count by the array and the span, so it never writes
+ * out of bounds (ASan covers this in the sanitized CI entry).
+ */
+TEST(CheckpointFormat, TokenHeaderFlipsRestoreOrThrow)
+{
+    JobSpec job = sampledJob("histogram", BatchMode::Sampled);
+    job.sampling = sampling::SamplingParams::periodic(50);
+    const trace::TaskTrace trace =
+        work::generateWorkload(job.workload, job.workloadParams);
+    std::optional<sim::Checkpoint> first;
+    sim::CheckpointHooks record;
+    record.record = [&first](sim::Checkpoint &&cp) {
+        if (!first)
+            first = std::move(cp);
+    };
+    runSampled(trace, job.spec, job.sampling, &record);
+    ASSERT_TRUE(first.has_value());
+
+    const std::vector<std::size_t> headers =
+        blockTokenHeaders(*first, job, trace);
+    ASSERT_GT(headers.size(), 100u);
+    const std::string blob = sim::serializeCheckpoint(*first);
+    const std::size_t payload_at = blob.size() - sizeof(std::uint64_t) -
+                                   first->state.size();
+
+    Rng rng(2024);
+    int restored = 0;
+    int rejected = 0;
+    for (int i = 0; i < 48; ++i) {
+        const std::size_t header =
+            headers[rng.nextBounded(headers.size())];
+        const std::uint64_t bit = rng.nextBounded(32);
+        std::string bad = blob;
+        bad[payload_at + header + bit / 8] ^=
+            static_cast<char>(1u << (bit % 8));
+        const sim::Checkpoint cp =
+            sim::deserializeCheckpoint(resealed(std::move(bad)), "flip");
+        sim::CheckpointHooks hooks;
+        hooks.restore = &cp;
+        hooks.stopBoundary = cp.boundary + 1;
+        try {
+            runSampled(trace, job.spec, job.sampling, &hooks);
+            ++restored;
+        } catch (const IoError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_EQ(restored + rejected, 48);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(CheckpointRoundTrip, BothModeRecomputesComparisonExactly)
@@ -597,7 +799,7 @@ TEST(CheckpointRoundTrip, DamagedStoreDegradesToColdReplay)
 
 /**
  * A store recorded by an older build — manifest and checkpoints of
- * format v1 — is version skew: the next run does not slice, replays
+ * format v2 — is version skew: the next run does not slice, replays
  * serially to the same answer and records afresh, so the run after
  * it slices again.
  */
@@ -629,10 +831,10 @@ TEST(CheckpointRoundTrip, OlderFormatStoreIsReRecordedOnce)
         const std::string bkey = checkpointBlobKey(mem, jd, b);
         const std::optional<std::string> blob = store->loadBlob(bkey);
         ASSERT_TRUE(blob.has_value());
-        store->storeBlob(bkey, withVersion(*blob, 1, true));
+        store->storeBlob(bkey, withVersion(*blob, 2, true));
     }
     // The manifest carries no checksum of its own.
-    store->storeBlob(mkey, withVersion(*manifest, 1, false));
+    store->storeBlob(mkey, withVersion(*manifest, 2, false));
     ASSERT_FALSE(expandCheckpointSlices(plan, *store, 3).expanded);
 
     BatchOptions sliced;

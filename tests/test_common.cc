@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common library: RNG, statistics, CLI, tables,
- * logging, the flat map and checkpoint state I/O (StateIo).
+ * logging, the flat map, checkpoint state I/O (StateIo) with its
+ * run-length block codec, and the checksum64 integrity checksum.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/binary_io.hh"
 #include "common/cli.hh"
 #include "common/flat_map.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/statistics.hh"
@@ -692,9 +694,10 @@ TEST(StateIo, OneDeclarationRoundTripsEveryFieldKind)
     s.fixed = {1, 2, 3};
     s.var = {9, 8};
     const std::string bytes = saveSample(s);
-    // u32, u64 wire width, bool byte, u8 tag, u64 count, 3 x u64,
-    // u64 length, 2 x u32.
-    EXPECT_EQ(bytes.size(), 4u + 8 + 1 + 1 + 8 + 24 + 8 + 8);
+    // u32, u64 wire width, bool byte, u8 tag, u64 count, the block
+    // (u64 span length, u32 literal header, 3 x u64), u64 length,
+    // 2 x u32.
+    EXPECT_EQ(bytes.size(), 4u + 8 + 1 + 1 + 8 + (8 + 4 + 24) + 8 + 8);
 
     const StateSample back = loadSample(bytes);
     EXPECT_EQ(back.narrow, s.narrow);
@@ -733,10 +736,286 @@ TEST(StateIo, LoadRejectsCorruptFieldsNamingThem)
     expectIoError(good, "sample geometry", four);
     bad = good;
     const std::uint64_t huge = 1ULL << 40;
-    bad.replace(14 + 8 + 24, sizeof(huge),
+    // `var` is empty, so its u64 length is the last field.
+    bad.replace(good.size() - sizeof(huge), sizeof(huge),
                 reinterpret_cast<const char *>(&huge), sizeof(huge));
     expectIoError(bad, "sample length");
     expectIoError(good.substr(0, good.size() - 1), "truncated");
+}
+
+/** The 16-byte slot of a FlatMap64<std::uint64_t> (key, value). */
+struct Slot16
+{
+    std::uint64_t key;
+    std::uint64_t value;
+};
+
+/** @return the `i`-th of pairwise distinct values of each type. */
+template <typename T>
+T
+distinct(std::uint64_t i)
+{
+    if constexpr (std::is_same_v<T, Slot16>)
+        return Slot16{i * 0x9e3779b97f4a7c15ULL, ~i};
+    else if constexpr (std::is_same_v<T, double>)
+        return 0.5 + 0.25 * static_cast<double>(i);
+    else
+        return static_cast<T>(i * 2654435761ULL + 1);
+}
+
+/** @return the state bytes of one block() of `v`. */
+template <typename T>
+std::string
+saveBlock(std::vector<T> v)
+{
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    StateIo io(w);
+    io.block(v);
+    return os.str();
+}
+
+/** Load one block() of `n` elements from `bytes`, which it must use up. */
+template <typename T>
+std::vector<T>
+loadBlock(const std::string &bytes, std::size_t n)
+{
+    std::istringstream is(bytes, std::ios::binary);
+    BinaryReader r(is, "block");
+    StateIo io(r);
+    std::vector<T> v(n, distinct<T>(999));
+    io.block(v);
+    r.expectEof();
+    return v;
+}
+
+template <typename T>
+class BlockShapes : public testing::Test
+{};
+
+using BlockElements =
+    testing::Types<std::uint32_t, std::uint64_t, double, Slot16>;
+TYPED_TEST_SUITE(BlockShapes, BlockElements);
+
+/**
+ * Every shape round-trips byte for byte, and each encodes as the
+ * documented tokens: u64 span length, then per token a u32 header
+ * and one element (run) or `count` elements (literal).
+ */
+TYPED_TEST(BlockShapes, RoundTripAsDocumentedTokens)
+{
+    using T = TypeParam;
+    const T a = distinct<T>(1);
+    const T b = distinct<T>(2);
+    const T c = distinct<T>(3);
+    std::vector<T> all_distinct;
+    for (std::uint64_t i = 0; i < 9; ++i)
+        all_distinct.push_back(distinct<T>(i));
+    constexpr std::size_t S = sizeof(T);
+    constexpr std::size_t H = 4; // token header
+    const struct
+    {
+        const char *name;
+        std::vector<T> elems;
+        std::size_t spanBytes;
+    } shapes[] = {
+        {"empty", {}, 0},
+        {"one element", {a}, H + S},
+        {"all equal", std::vector<T>(9, a), H + S},
+        {"all distinct", all_distinct, H + 9 * S},
+        {"alternating", {a, b, a, b, a, b, a}, H + 7 * S},
+        {"runs at both ends", {a, a, a, b, c, b, c, c, c},
+         (H + S) + (H + 3 * S) + (H + S)},
+        {"run in the middle", {b, a, a, a, a, c}, 3 * H + 3 * S},
+        {"runs of two", {a, a, b, c, c}, 3 * H + 3 * S},
+    };
+    const auto raw = [](const std::vector<T> &v) {
+        return std::string(reinterpret_cast<const char *>(v.data()),
+                           v.size() * S);
+    };
+    for (const auto &shape : shapes) {
+        const std::string bytes = saveBlock(shape.elems);
+        EXPECT_EQ(bytes.size(), 8 + shape.spanBytes) << shape.name;
+        EXPECT_EQ(raw(loadBlock<T>(bytes, shape.elems.size())),
+                  raw(shape.elems))
+            << shape.name;
+    }
+}
+
+/** A long run (the common case: junk and empty ways) and a FlatMap. */
+TEST(BlockCodec, LongRunsAndFlatMapSlotsRoundTrip)
+{
+    std::vector<std::uint64_t> v(100000, 7);
+    v[0] = 1;
+    v[50000] = 2;
+    v[99999] = 3;
+    const std::string bytes = saveBlock(v);
+    // literal(1), run(49999), literal(1), run(49998), literal(1)
+    EXPECT_EQ(bytes.size(), 8u + 5 * 4 + 5 * 8);
+    EXPECT_EQ(loadBlock<std::uint64_t>(bytes, v.size()), v);
+
+    FlatMap64<std::uint64_t> m;
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        m[i * 977] = i;
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    StateIo save(w);
+    m.state(save);
+    std::istringstream is(os.str(), std::ios::binary);
+    BinaryReader r(is, "map");
+    StateIo load(r);
+    FlatMap64<std::uint64_t> back;
+    back.state(load);
+    r.expectEof();
+    EXPECT_EQ(back.size(), m.size());
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        ASSERT_NE(back.find(i * 977), nullptr) << i;
+        EXPECT_EQ(*back.find(i * 977), i);
+    }
+}
+
+/** Token helpers for hand-built spans of u64 elements. */
+void
+addToken(std::string &span, std::uint32_t header,
+         std::initializer_list<std::uint64_t> elems)
+{
+    span.append(reinterpret_cast<const char *>(&header), sizeof(header));
+    for (const std::uint64_t e : elems)
+        span.append(reinterpret_cast<const char *>(&e), sizeof(e));
+}
+
+std::uint32_t
+runOf(std::uint32_t count)
+{
+    return count << 1 | 1;
+}
+
+std::uint32_t
+literalOf(std::uint32_t count)
+{
+    return count << 1;
+}
+
+/** @return `span` behind a u64 length prefix of `len` (default: its size). */
+std::string
+framed(const std::string &span, std::uint64_t len = ~0ULL)
+{
+    if (len == ~0ULL)
+        len = span.size();
+    std::string out(reinterpret_cast<const char *>(&len), sizeof(len));
+    return out + span;
+}
+
+TEST(BlockCodec, MalformedSpansAreIoErrors)
+{
+    // A well-formed span of four u64 elements loads.
+    std::string good;
+    addToken(good, runOf(2), {5});
+    addToken(good, literalOf(2), {6, 7});
+    EXPECT_EQ(loadBlock<std::uint64_t>(framed(good), 4),
+              (std::vector<std::uint64_t>{5, 5, 6, 7}));
+
+    // Each case must fail on its own check, before any byte is read
+    // past the span or written past the array.
+    const auto expectIoError = [](const std::string &bytes,
+                                  const char *needle) {
+        try {
+            loadBlock<std::uint64_t>(bytes, 4);
+            FAIL() << "expected an IoError naming " << needle;
+        } catch (const IoError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    std::string span;
+    addToken(span, runOf(5), {5}); // a run overrunning the array
+    expectIoError(framed(span), "token count");
+
+    span.clear();
+    addToken(span, runOf(2), {5});
+    addToken(span, literalOf(3), {6, 7, 8}); // and a literal
+    expectIoError(framed(span), "token count");
+
+    span.clear();
+    addToken(span, literalOf(0), {});
+    addToken(span, runOf(4), {5});
+    expectIoError(framed(span), "token count");
+    span.clear();
+    addToken(span, runOf(0), {5});
+    addToken(span, runOf(4), {5});
+    expectIoError(framed(span), "token count");
+
+    span.clear();
+    addToken(span, runOf(3), {5}); // one element short of the array
+    expectIoError(framed(span), "tokens stop short");
+    expectIoError(framed(good.substr(0, 14)), "tokens stop short");
+    expectIoError(framed(good.substr(0, good.size() - 3)),
+                  "literal past its span");
+    span.clear();
+    addToken(span, runOf(4), {});
+    expectIoError(framed(span), "run past its span");
+
+    expectIoError(framed(good + std::string(1, '\0')), "trailing bytes");
+    span = good;
+    addToken(span, runOf(1), {9}); // a token after the array is full
+    expectIoError(framed(span), "trailing bytes");
+
+    expectIoError(framed(good, good.size() + 1), "state block length");
+    expectIoError(framed(good, ~0ULL - 1), "state block length");
+    // Longer than any encoding of four u64 elements (4 x (4 + 8)),
+    // even though the bytes are there.
+    expectIoError(framed(good + std::string(20, '\0')),
+                  "state block length");
+    expectIoError(framed(good).substr(0, 5), "truncated");
+}
+
+/**
+ * Pins checksum64 (host byte order) over bytes
+ * `i * 131 + 7` for every length 0-40: the aligned lanes, whole tail
+ * words and a partial tail word all contribute. Entries on disk carry
+ * these values, so a change here must bump every envelope version.
+ */
+TEST(Checksum64, ValuesArePinned)
+{
+    const std::uint64_t pinned[41] = {
+        0x1792a0c56e7c1920ULL, 0xa9f3d935e17970abULL, 0xa9c2608f542b1f8cULL,
+        0x0a44961536691fedULL, 0x7fba1c329a173127ULL, 0xb60ffa4d17988741ULL,
+        0x13c64a3832380fb6ULL, 0x7a3322551f25cd8aULL, 0x8ddc8fc6ec3b32e7ULL,
+        0xa648496f65be9760ULL, 0x3eaf6848e8660c7eULL, 0x48a7fdc7597f0041ULL,
+        0xd6820c05ba9ac88aULL, 0x027f99b812e584b9ULL, 0x82bc96b3cd6a91faULL,
+        0xa42c3631f76700d3ULL, 0x88f96f28fd465ccfULL, 0x2b204cdec4bbf6aeULL,
+        0x85d78170f107a7ffULL, 0xdbae78645c504b08ULL, 0x5a4c5ef6c217b4aaULL,
+        0x2acff55d798ef4d2ULL, 0x4d7fb9a6d9d0fb25ULL, 0xb51f63bce8bb0b5eULL,
+        0xd343c4562d77ed50ULL, 0x175650b40becded0ULL, 0x5c5e4169973cbee0ULL,
+        0x78c57fa26b0abd84ULL, 0x1f7fcfa41067bf8cULL, 0xdce32f79f30c9e30ULL,
+        0xe1e172bf5c70dab9ULL, 0x82777e0695c3674fULL, 0x8211d1a7f72f9c3cULL,
+        0x0ee817056c98a930ULL, 0x30fb3e8599f309ddULL, 0x05a4f0d95df72de2ULL,
+        0xd7573abd69fb377cULL, 0x93ffcc15f7b8996aULL, 0x95e8c257415e72fcULL,
+        0xa4af82846d2f536bULL, 0x7dc36e13c40a5800ULL,
+    };
+    unsigned char bytes[40];
+    for (std::size_t i = 0; i < sizeof(bytes); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+    for (std::size_t len = 0; len <= sizeof(bytes); ++len)
+        EXPECT_EQ(checksum64(bytes, len), pinned[len])
+            << "length " << len << ": 0x" << toHex(checksum64(bytes, len));
+}
+
+TEST(Checksum64, EverySingleBitFlipChangesIt)
+{
+    std::string buf(4096 + 13, '\0');
+    Rng rng(11);
+    for (char &c : buf)
+        c = static_cast<char>(rng.next());
+    const std::uint64_t base = checksum64(buf.data(), buf.size());
+    std::size_t unchanged = 0;
+    for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+        buf[bit / 8] = static_cast<char>(buf[bit / 8] ^ (1 << (bit % 8)));
+        unchanged += checksum64(buf.data(), buf.size()) == base;
+        buf[bit / 8] = static_cast<char>(buf[bit / 8] ^ (1 << (bit % 8)));
+    }
+    EXPECT_EQ(unchanged, 0u);
 }
 
 } // namespace

@@ -444,6 +444,35 @@ TEST(AnonymousJunkLip, TiesAfterInvalidationMatchReference)
     expectSameStats(c.stats(), ref.stats());
 }
 
+/**
+ * Pins ageLines' own victim rule: with way 0 invalid it takes the
+ * first invalid way after it, not way 0. The next miss then fills
+ * way 0 at tick 0, ahead of 0x40 in way order, so the miss after
+ * that evicts 0x100 and keeps 0x40.
+ */
+TEST(AnonymousJunkLip, AgingSkipsInvalidWayZero)
+{
+    const CacheConfig cfg{4 * 64, 4, 64, 1, 0, true}; // one set
+    Cache c("t", cfg);
+    ReferenceCache ref(cfg);
+    const auto touch = [&](Addr a) {
+        EXPECT_EQ(c.access(a, false).hit, ref.access(a, false).hit);
+    };
+    for (const Addr a : {0x0, 0x40, 0x80, 0xc0})
+        touch(a); // all at tick 0
+    for (const Addr a : {0x0, 0x80})
+        EXPECT_EQ(c.invalidate(a), ref.invalidate(a));
+    c.ageLines(1); // junk into way 2
+    ref.ageLines(1);
+    touch(0x100); // into way 0
+    touch(0x140); // evicts way 0, the first tick-0 line
+    EXPECT_TRUE(c.contains(0x40));
+    EXPECT_FALSE(c.contains(0x100));
+    for (const Addr a : {0x40, 0xc0, 0x100, 0x140})
+        EXPECT_EQ(c.contains(a), ref.contains(a)) << a;
+    expectSameStats(c.stats(), ref.stats());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, AnonymousJunk,
     testing::Values(JunkGeometry{2, false}, JunkGeometry{8, false},

@@ -3,8 +3,8 @@
  * Tests of the on-disk result cache: bit-identical replay of both
  * reference SimResults and sampled outcomes, single-field key
  * sensitivity (including sampling parameters), torn/truncated-entry
- * detection, LRU eviction under the size cap, and
- * read-only/shared-directory behaviour.
+ * detection, LRU eviction under the size cap, read-only/shared-
+ * directory behaviour and real (not injected) store failures.
  */
 
 #include <gtest/gtest.h>
@@ -401,6 +401,42 @@ TEST_F(ResultCacheTest, ReadOnlyModeNeverWrites)
     cache.store(otherKey, fresh);
     EXPECT_FALSE(cache.contains(otherKey));
     EXPECT_EQ(cache.stats().stores, 0u);
+}
+
+/**
+ * A real publish failure — a directory occupies the entry's final
+ * path, so the rename fails — is counted per store like an injected
+ * one, warned once per cache, and leaves the key a miss.
+ */
+TEST_F(ResultCacheTest, RealStoreFailuresAreCountedAndWarnedOnce)
+{
+    const trace::TaskTrace t =
+        work::generateWorkload("histogram", tinyScale());
+    const RunSpec spec = smallSpec();
+    const sim::SimResult fresh = runDetailed(t, spec);
+    const std::string key = resultCacheKey(t, spec);
+
+    ResultCache cache(options());
+    fs::create_directories(dir_ / (key + ".tpres"));
+    testing::internal::CaptureStderr();
+    cache.store(key, fresh);
+    cache.storeBlob(key, "blob bytes");
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(cache.stats().failedStores, 2u);
+    EXPECT_EQ(cache.stats().stores, 0u);
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("store failed");
+         at != std::string::npos; at = err.find("store failed", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+    EXPECT_NE(err.find("cannot publish"), std::string::npos) << err;
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_FALSE(cache.loadBlob(key).has_value());
+    for (const auto &de : fs::directory_iterator(dir_))
+        EXPECT_EQ(de.path().filename().string().rfind(".tmp.", 0),
+                  std::string::npos)
+            << "temp file left behind: " << de.path();
 }
 
 TEST_F(ResultCacheTest, SampledEntryReplaysBitIdentical)
