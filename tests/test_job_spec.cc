@@ -16,6 +16,13 @@
  * Corruption: truncated streams, bad magic/version, corrupt enum
  * bytes and trailing garbage must raise a recoverable IoError,
  * never crash or silently succeed (mirroring test_trace_io).
+ *
+ * Wire bytes: the WireBytes suite pins the exact bytes of every
+ * binary wire format (plans, shards, traces, results, sampled
+ * outcomes, batch results with timelines) and the cache-key and
+ * digest strings derived from them. Caches, checkpoint stores and
+ * saved plans written by one build must keep hitting in the next,
+ * so a value here only changes together with a format version.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +32,13 @@
 #include <sstream>
 
 #include "common/binary_io.hh"
+#include "common/hash.hh"
 #include "harness/batch_runner.hh"
+#include "harness/plan_shard.hh"
+#include "harness/result_cache.hh"
+#include "harness/worker.hh"
 #include "sim/result_io.hh"
+#include "trace/trace_io.hh"
 
 namespace tp::harness {
 namespace {
@@ -381,6 +393,181 @@ TEST(SampledOutcomeIo, TruncationThrowsIoError)
             (void)sim::deserializeSampledOutcome(is, "<memory>"),
             IoError);
     }
+}
+
+// ---------------------------------------------------------------
+// Wire bytes: the byte contract of every binary format.
+// ---------------------------------------------------------------
+
+std::uint64_t
+checksumOf(const std::string &bytes)
+{
+    return checksum64(bytes.data(), bytes.size());
+}
+
+ExperimentPlan
+goldenPlan()
+{
+    return deserializePlan(std::string(TP_GOLDEN_DIR) +
+                           "/fig07_histogram_spmv.tpplan");
+}
+
+/** A SimResult with every field, task records included, set. */
+sim::SimResult
+handBuiltResult()
+{
+    sim::SimResult r;
+    r.totalCycles = 123456789;
+    r.detailedTasks = 11;
+    r.fastTasks = 22;
+    r.detailedInsts = 3333;
+    r.fastInsts = 44444;
+    r.wallSeconds = 0.125;
+    r.avgActiveCores = 5.75;
+    std::uint64_t v = 1;
+    for (mem::CacheStats *c :
+         {&r.memStats.l1, &r.memStats.l2, &r.memStats.l3}) {
+        c->accesses = v++;
+        c->hits = v++;
+        c->misses = v++;
+        c->evictions = v++;
+        c->writebacks = v++;
+        c->invalidations = v++;
+        c->prefetchFills = v++;
+    }
+    r.memStats.dramRequests = 987;
+    r.memStats.dramMeanQueueDelay = 12.5;
+    r.memStats.coherenceInvalidations = 654;
+    r.tasks.push_back(sim::TaskRecord{3, 1, 2, 100, 900, 4000,
+                                      sim::SimMode::Detailed, 1.25});
+    r.tasks.push_back(sim::TaskRecord{4, 0, 7, 950, 2000, 8000,
+                                      sim::SimMode::Fast, 0.5});
+    return r;
+}
+
+/** A SampledOutcome with every field set. */
+SampledOutcome
+handBuiltOutcome()
+{
+    SampledOutcome o;
+    o.result = handBuiltResult();
+    o.stats.warmupTasks = 1;
+    o.stats.sampleTasks = 2;
+    o.stats.fastTasks = 3;
+    o.stats.resamples = 4;
+    o.stats.resamplesPeriod = 5;
+    o.stats.resamplesNewType = 6;
+    o.stats.resamplesConcurrency = 7;
+    o.stats.phaseChanges = 8;
+    o.phaseLog.push_back({10, sampling::Phase::Sampling});
+    o.phaseLog.push_back({500, sampling::Phase::Fast});
+    o.validHistSizes = {4, 2, 0};
+    o.adaptive.enabled = true;
+    o.adaptive.targetError = 0.01;
+    o.adaptive.finalRelHalfWidth = 0.0075;
+    o.adaptive.stopCycle = 4242;
+    o.adaptive.allocationRounds = 3;
+    o.adaptive.cutoffStopped = true;
+    o.adaptive.budgetStopped = false;
+    o.adaptive.strataSamples = {9, 8, 7};
+    return o;
+}
+
+/** A BatchResult with every optional part, a timeline included. */
+BatchResult
+handBuiltBatchResult()
+{
+    BatchResult r;
+    r.index = 17;
+    r.label = "pinned job";
+    r.sampled = handBuiltOutcome();
+    r.reference = handBuiltResult();
+    r.reference->totalCycles = 123000000;
+    r.comparison = ErrorSpeedup{0.375, 6.5, 0.0625};
+    r.referenceFromCache = true;
+    r.sampledFromCache = false;
+    r.hostSeconds = 2.25;
+    sim::JobTimeline t;
+    t.cores = 4;
+    t.totalCycles = 123456789;
+    t.typeNames = {"init", "accumulate"};
+    t.tasks.push_back(
+        sim::TimelineTask{3, 1, 2, 90, 100, 900, 4000, 0, 1.25, 6});
+    t.tasks.push_back(
+        sim::TimelineTask{4, 0, 3, 940, 950, 2000, 8000, 1, 0.5, 0});
+    t.phases.push_back({0, sim::kWarmupPhase});
+    t.phases.push_back({500, sim::kFastForwardPhase});
+    t.samples.push_back({1, 500, 10, 20, 30, 40, 50});
+    r.timeline = t;
+    return r;
+}
+
+TEST(WireBytes, PlanBytesArePinned)
+{
+    std::ostringstream os(std::ios::binary);
+    serializePlan(goldenPlan(), os);
+    EXPECT_EQ(checksumOf(os.str()), 0x6361e58cc747ce75ULL);
+
+    // Every v2 and v3 field at a non-default value.
+    ExperimentPlan plan = fullPlan();
+    JobSpec slice = plan.jobs[0];
+    slice.sampling = sampling::SamplingParams::adaptive(0.02);
+    slice.sampling.detailBudgetMultiple = 2.5;
+    slice.sliceCount = 3;
+    slice.sliceIndex = 1;
+    slice.startBoundary = 4;
+    slice.stopBoundary = 9;
+    plan.jobs.push_back(slice);
+    EXPECT_EQ(checksumOf(planBytes(plan)), 0xbde4b335e7088151ULL);
+}
+
+TEST(WireBytes, ShardBytesArePinned)
+{
+    std::vector<PlanShard> shards = makeShards(goldenPlan(), 2);
+    ASSERT_EQ(shards.size(), 2u);
+    shards[1].collectTimelines = true;
+    std::ostringstream os(std::ios::binary);
+    serializeShard(shards[1], os);
+    EXPECT_EQ(checksumOf(os.str()), 0xf8f5cd9941939955ULL);
+}
+
+TEST(WireBytes, TraceBytesArePinned)
+{
+    work::WorkloadParams wp;
+    wp.scale = 0.02;
+    wp.seed = 42;
+    std::ostringstream os(std::ios::binary);
+    trace::serializeTrace(work::generateWorkload("histogram", wp), os);
+    EXPECT_EQ(checksumOf(os.str()), 0x7ebdca731b7bc3c4ULL);
+}
+
+TEST(WireBytes, ResultBytesArePinned)
+{
+    std::ostringstream result(std::ios::binary);
+    sim::serializeResult(handBuiltResult(), result);
+    EXPECT_EQ(checksumOf(result.str()), 0xb701cbd0463fd184ULL);
+
+    std::ostringstream outcome(std::ios::binary);
+    sim::serializeSampledOutcome(handBuiltOutcome(), outcome);
+    EXPECT_EQ(checksumOf(outcome.str()), 0x43e35a0636f4624aULL);
+
+    std::ostringstream batch(std::ios::binary);
+    serializeBatchResult(handBuiltBatchResult(), batch);
+    EXPECT_EQ(checksumOf(batch.str()), 0x2a7323fac29c35bcULL);
+}
+
+TEST(WireBytes, KeysAndDigestsArePinned)
+{
+    const JobSpec job = fullPlan().jobs[0];
+    const std::string trace = "00112233445566778899aabbccddeeff";
+    EXPECT_EQ(resultCacheKey(trace, job.spec),
+              "2f7af0c0759d66389314dcbdeda93e65");
+    EXPECT_EQ(sampledCacheKey(trace, job.spec, job.sampling),
+              "c50697f608e24d0d842915b4f0b0752c");
+    EXPECT_EQ(memoryConfigDigest(job.spec.arch.memory),
+              "87b60b838b6324d43b277ce61ecbd051");
+    EXPECT_EQ(jobSpecDigest(job),
+              "243edc45dff8e0d5e6fc1c7e5cdc0076");
 }
 
 } // namespace
