@@ -8,8 +8,11 @@
  * length-prefixed strings. Files are not portable across byte
  * orders — traces and cache directories are shared between
  * same-endianness hosts only (everything this project targets is
- * little-endian). StateIo layers one declaration per checkpointed
- * component over either of them (see sim/checkpoint.hh).
+ * little-endian). StateIo layers one field declaration over either
+ * of them, and every binary format is declared through it: the
+ * checkpoint state of each component (see sim/checkpoint.hh) and
+ * the wire formats — plans and shards, results and sampled
+ * outcomes, batch results, timelines and traces.
  *
  * Corruption handling: readers throw IoError — a *recoverable*
  * subclass of SimError — on truncation or implausible lengths, never
@@ -240,15 +243,18 @@ readBool(BinaryReader &r)
 }
 
 /**
- * One declaration of a component's checkpoint state for both
- * directions (see sim/checkpoint.hh).
+ * One declaration of a binary format for both directions.
  *
- * A component lists each field once, in order, in
- * `void state(StateIo &io)`. Over a BinaryWriter the calls write the
- * fields; over a BinaryReader the same calls read them back into the
- * same members, so save and load cannot drift apart. Steps that only
- * happen on load — range checks, rebuilding derived members — go
- * under `if (io.loading())`.
+ * A format lists each field once, in order: a checkpointed component
+ * in `void state(StateIo &io)` (see sim/checkpoint.hh), a wire
+ * struct in a `fields(StateIo &io, T &v)` beside its serializer.
+ * Over a BinaryWriter the calls write the fields; over a
+ * BinaryReader the same calls read them back into the same members,
+ * so save and load cannot drift apart. Steps that only happen on
+ * load — range checks, rebuilding derived members — go under
+ * `if (io.loading())`. Writing only reads the members, so a
+ * serializer may hand a const value to its declaration through a
+ * const_cast.
  */
 class StateIo
 {
@@ -256,7 +262,7 @@ class StateIo
     explicit StateIo(BinaryWriter &w) : w_(&w) {}
     explicit StateIo(BinaryReader &r) : r_(&r) {}
 
-    /** @return true when reading a checkpoint into the members. */
+    /** @return true when reading bytes back into the members. */
     bool loading() const { return r_ != nullptr; }
 
     /**
@@ -272,6 +278,16 @@ class StateIo
             w_->pod<W>(static_cast<W>(v));
         else
             v = static_cast<T>(r_->pod<W>());
+    }
+
+    /** A string field: u64 length, then the bytes. */
+    void
+    str(std::string &s)
+    {
+        if (w_ != nullptr)
+            w_->str(s);
+        else
+            s = r_->str();
     }
 
     /** A bool (or bool-like, e.g. vector<bool> element) field. */
@@ -380,7 +396,7 @@ class StateIo
         }
     }
 
-    /** Throw IoError: the checkpoint being read has a corrupt `what`. */
+    /** Throw IoError: the bytes being read have a corrupt `what`. */
     [[noreturn]] void
     corrupt(const char *what) const
     {

@@ -6,10 +6,6 @@
 
 namespace tp {
 
-namespace {
-bool g_quiet = false;
-} // namespace
-
 std::string
 vstrprintf(const char *fmt, std::va_list ap)
 {
@@ -59,37 +55,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_quiet)
-        return;
     std::va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrprintf(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_quiet)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-setQuiet(bool quiet)
-{
-    g_quiet = quiet;
-}
-
-bool
-quiet()
-{
-    return g_quiet;
 }
 
 } // namespace tp

@@ -1,11 +1,14 @@
 /**
  * @file
- * Error reporting and status messages in the gem5 style.
+ * Error reporting in the gem5 style.
  *
- * panic()  — internal invariant violated (simulator bug); aborts.
- * fatal()  — user error (bad configuration / arguments); exits(1).
- * warn()   — suspicious but survivable condition.
- * inform() — plain status output.
+ * panic() — internal invariant violated (simulator bug).
+ * fatal() — user error (bad configuration / arguments).
+ * warn()  — suspicious but survivable condition.
+ *
+ * panic() and fatal() both print their message to stderr and throw
+ * SimError: a driver that does not catch it terminates, and a test
+ * can assert on it.
  */
 
 #ifndef TP_COMMON_LOGGING_HH
@@ -55,16 +58,6 @@ std::string strprintf(const char *fmt, ...)
 /** Print a warning to stderr; never stops the simulation. */
 void warn(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message to stdout. */
-void inform(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Globally silence warn()/inform() (used by benches and tests). */
-void setQuiet(bool quiet);
-
-/** @return whether warn()/inform() are currently silenced. */
-bool quiet();
 
 /**
  * Assert a simulator invariant; on failure calls panic() with the

@@ -45,12 +45,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::uniformReal(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform01();
-}
-
-double
 Rng::normal()
 {
     if (hasSpare_) {
@@ -67,12 +61,6 @@ Rng::normal()
     spareNormal_ = mag * std::sin(two_pi * u2);
     hasSpare_ = true;
     return mag * std::cos(two_pi * u2);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
 }
 
 double

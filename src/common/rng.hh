@@ -84,14 +84,8 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** @return uniform double in [lo, hi). */
-    double uniformReal(double lo, double hi);
-
     /** @return standard normal variate (Box-Muller, cached spare). */
     double normal();
-
-    /** @return normal variate with the given mean/stddev. */
-    double normal(double mean, double stddev);
 
     /**
      * @return log-normal variate such that the *median* is `median`

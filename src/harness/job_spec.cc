@@ -14,221 +14,157 @@ namespace {
 constexpr std::uint64_t kPlanMagic = 0x5450504c414e3101ULL; // TPPLAN1.
 
 void
-writeCacheConfig(BinaryWriter &w, const mem::CacheConfig &c)
+fields(StateIo &io, mem::CacheConfig &c)
 {
-    w.pod(c.sizeBytes);
-    w.pod(c.assoc);
-    w.pod(c.lineBytes);
-    w.pod(c.latency);
-    w.pod(c.servicePeriod);
-    writeBool(w, c.scanResistantInsert);
-}
-
-mem::CacheConfig
-readCacheConfig(BinaryReader &r)
-{
-    mem::CacheConfig c;
-    c.sizeBytes = r.pod<std::uint64_t>();
-    c.assoc = r.pod<std::uint32_t>();
-    c.lineBytes = r.pod<std::uint32_t>();
-    c.latency = r.pod<Cycles>();
-    c.servicePeriod = r.pod<Cycles>();
-    c.scanResistantInsert = readBool(r);
-    return c;
-}
-
-} // namespace
-
-void
-writeWorkloadParams(BinaryWriter &w, const work::WorkloadParams &p)
-{
-    w.pod(p.scale);
-    w.pod(p.instrScale);
-    w.pod(p.seed);
-}
-
-work::WorkloadParams
-readWorkloadParams(BinaryReader &r)
-{
-    work::WorkloadParams p;
-    p.scale = r.pod<double>();
-    p.instrScale = r.pod<double>();
-    p.seed = r.pod<std::uint64_t>();
-    return p;
+    io.pod(c.sizeBytes);
+    io.pod(c.assoc);
+    io.pod(c.lineBytes);
+    io.pod(c.latency);
+    io.pod(c.servicePeriod);
+    io.flag(c.scanResistantInsert);
 }
 
 void
-writeMemoryConfig(BinaryWriter &w, const mem::MemoryConfig &m)
+fields(StateIo &io, mem::MemoryConfig &m)
 {
-    writeCacheConfig(w, m.l1);
-    writeCacheConfig(w, m.l2);
-    writeCacheConfig(w, m.l3);
-    writeBool(w, m.l2Shared);
-    writeBool(w, m.hasL3);
-    w.pod(m.dram.latency);
-    w.pod(m.dram.servicePeriod);
-    w.pod(m.dram.channels);
-    w.pod(m.upgradeLatency);
-    w.pod(m.busServicePeriod);
-    w.pod(m.coherentBase);
-    w.pod(m.coherentEnd);
-    writeBool(w, m.streamPrefetch);
-    w.pod(m.prefetchDegree);
+    fields(io, m.l1);
+    fields(io, m.l2);
+    fields(io, m.l3);
+    io.flag(m.l2Shared);
+    io.flag(m.hasL3);
+    io.pod(m.dram.latency);
+    io.pod(m.dram.servicePeriod);
+    io.pod(m.dram.channels);
+    io.pod(m.upgradeLatency);
+    io.pod(m.busServicePeriod);
+    io.pod(m.coherentBase);
+    io.pod(m.coherentEnd);
+    io.flag(m.streamPrefetch);
+    io.pod(m.prefetchDegree);
 }
 
 void
-writeRunSpec(BinaryWriter &w, const RunSpec &spec)
+fields(StateIo &io, work::WorkloadParams &p)
 {
-    const cpu::ArchConfig &a = spec.arch;
-    w.str(a.name);
-    w.pod(a.core.robSize);
-    w.pod(a.core.issueWidth);
-    w.pod(a.core.commitWidth);
-    writeMemoryConfig(w, a.memory);
-
-    w.pod(spec.threads);
-    w.pod<std::uint8_t>(
-        static_cast<std::uint8_t>(spec.runtime.scheduler));
-    w.pod(spec.runtime.dispatchOverhead);
-    w.pod(spec.runtime.dispatchJitter);
-    w.pod(spec.runtime.seed);
-    w.pod(spec.quantum);
-    writeBool(w, spec.recordTasks);
-    writeBool(w, spec.noise.enabled);
-    w.pod(spec.noise.sigma);
-    w.pod(spec.noise.preemptProb);
-    w.pod(spec.noise.preemptMeanCycles);
-    w.pod(spec.noise.seed);
+    io.pod(p.scale);
+    io.pod(p.instrScale);
+    io.pod(p.seed);
 }
 
-RunSpec
-readRunSpec(BinaryReader &r)
+void
+fields(StateIo &io, RunSpec &spec)
 {
-    RunSpec spec;
     cpu::ArchConfig &a = spec.arch;
-    a.name = r.str();
-    a.core.robSize = r.pod<std::uint32_t>();
-    a.core.issueWidth = r.pod<std::uint32_t>();
-    a.core.commitWidth = r.pod<std::uint32_t>();
-    a.memory.l1 = readCacheConfig(r);
-    a.memory.l2 = readCacheConfig(r);
-    a.memory.l3 = readCacheConfig(r);
-    a.memory.l2Shared = readBool(r);
-    a.memory.hasL3 = readBool(r);
-    a.memory.dram.latency = r.pod<Cycles>();
-    a.memory.dram.servicePeriod = r.pod<Cycles>();
-    a.memory.dram.channels = r.pod<std::uint32_t>();
-    a.memory.upgradeLatency = r.pod<Cycles>();
-    a.memory.busServicePeriod = r.pod<Cycles>();
-    a.memory.coherentBase = r.pod<Addr>();
-    a.memory.coherentEnd = r.pod<Addr>();
-    a.memory.streamPrefetch = readBool(r);
-    a.memory.prefetchDegree = r.pod<std::uint32_t>();
+    io.str(a.name);
+    io.pod(a.core.robSize);
+    io.pod(a.core.issueWidth);
+    io.pod(a.core.commitWidth);
+    fields(io, a.memory);
 
-    spec.threads = r.pod<std::uint32_t>();
-    const auto sched = r.pod<std::uint8_t>();
-    if (sched > static_cast<std::uint8_t>(rt::SchedulerKind::Locality))
-        throwIoError("'%s': corrupt scheduler kind",
-                     r.name().c_str());
-    spec.runtime.scheduler = static_cast<rt::SchedulerKind>(sched);
-    spec.runtime.dispatchOverhead = r.pod<Cycles>();
-    spec.runtime.dispatchJitter = r.pod<Cycles>();
-    spec.runtime.seed = r.pod<std::uint64_t>();
-    spec.quantum = r.pod<InstCount>();
-    spec.recordTasks = readBool(r);
-    spec.noise.enabled = readBool(r);
-    spec.noise.sigma = r.pod<double>();
-    spec.noise.preemptProb = r.pod<double>();
-    spec.noise.preemptMeanCycles = r.pod<double>();
-    spec.noise.seed = r.pod<std::uint64_t>();
-    return spec;
+    io.pod(spec.threads);
+    io.tag(spec.runtime.scheduler, rt::SchedulerKind::Locality,
+           "scheduler kind");
+    io.pod(spec.runtime.dispatchOverhead);
+    io.pod(spec.runtime.dispatchJitter);
+    io.pod(spec.runtime.seed);
+    io.pod(spec.quantum);
+    io.flag(spec.recordTasks);
+    io.flag(spec.noise.enabled);
+    io.pod(spec.noise.sigma);
+    io.pod(spec.noise.preemptProb);
+    io.pod(spec.noise.preemptMeanCycles);
+    io.pod(spec.noise.seed);
 }
 
 void
-writeSamplingParams(BinaryWriter &w, const sampling::SamplingParams &p)
+fields(StateIo &io, sampling::SamplingParams &p, std::uint32_t version)
 {
-    w.pod(p.warmup);
-    w.pod<std::uint64_t>(p.historySize);
-    w.pod(p.period);
-    w.pod(p.rareCutoff);
-    w.pod(p.concurrencyHysteresis);
-    w.pod(p.concurrencyTolerance);
-    // v2 fields: the adaptive policy.
-    w.pod(p.targetError);
-    w.pod(p.pilotSamples);
-    w.pod(p.confidenceZ);
-    // v3 field: the adaptive detail-budget cap.
-    w.pod(p.detailBudgetMultiple);
-}
-
-sampling::SamplingParams
-readSamplingParams(BinaryReader &r, std::uint32_t version)
-{
-    sampling::SamplingParams p;
-    p.warmup = r.pod<std::uint64_t>();
-    p.historySize =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    p.period = r.pod<std::uint64_t>();
-    p.rareCutoff = r.pod<std::uint64_t>();
-    p.concurrencyHysteresis = r.pod<std::uint32_t>();
-    p.concurrencyTolerance = r.pod<double>();
+    io.pod(p.warmup);
+    io.pod<std::uint64_t>(p.historySize);
+    io.pod(p.period);
+    io.pod(p.rareCutoff);
+    io.pod(p.concurrencyHysteresis);
+    io.pod(p.concurrencyTolerance);
     if (version >= 2) {
-        p.targetError = r.pod<double>();
-        p.pilotSamples = r.pod<std::uint64_t>();
-        p.confidenceZ = r.pod<double>();
+        io.pod(p.targetError);
+        io.pod(p.pilotSamples);
+        io.pod(p.confidenceZ);
     }
     if (version >= 3) {
-        p.detailBudgetMultiple = r.pod<double>();
+        io.pod(p.detailBudgetMultiple);
     } else {
         // Builds that wrote v1/v2 plans had no budget cap; replaying
         // their plans must reproduce their numbers bit for bit, so
         // the cap stays off rather than taking the new default.
         p.detailBudgetMultiple = 0.0;
     }
-    return p;
+}
+
+/** The plan after its magic and version: seed policy, then jobs. */
+void
+fields(StateIo &io, ExperimentPlan &plan, std::uint32_t version)
+{
+    io.pod(plan.baseSeed);
+    io.flag(plan.deriveSeeds);
+    // Every job occupies far more than one byte, so a count beyond
+    // the remaining stream length is certainly corrupt.
+    io.length(plan.jobs, 1, "job count");
+    for (JobSpec &job : plan.jobs)
+        fields(io, job, version);
+}
+
+} // namespace
+
+void
+fields(StateIo &io, JobSpec &job, std::uint32_t version)
+{
+    io.str(job.label);
+    io.str(job.workload);
+    fields(io, job.workloadParams);
+    io.str(job.traceFile);
+    fields(io, job.spec);
+    fields(io, job.sampling, version);
+    io.tag(job.mode, BatchMode::Both, "batch mode");
+    if (version >= 3) {
+        io.pod(job.sliceCount);
+        io.pod(job.sliceIndex);
+        io.pod(job.startBoundary);
+        io.pod(job.stopBoundary);
+        if (io.loading() && job.sliceCount > 0 &&
+            job.sliceIndex >= job.sliceCount)
+            io.corrupt("slice coordinates");
+    }
 }
 
 void
-serializeJobSpec(BinaryWriter &w, const JobSpec &job)
+writeMemoryConfig(BinaryWriter &w, const mem::MemoryConfig &m)
 {
-    w.str(job.label);
-    w.str(job.workload);
-    writeWorkloadParams(w, job.workloadParams);
-    w.str(job.traceFile);
-    writeRunSpec(w, job.spec);
-    writeSamplingParams(w, job.sampling);
-    w.pod<std::uint8_t>(static_cast<std::uint8_t>(job.mode));
-    // v3 fields: checkpoint-slice coordinates.
-    w.pod(job.sliceCount);
-    w.pod(job.sliceIndex);
-    w.pod(job.startBoundary);
-    w.pod(job.stopBoundary);
+    StateIo io(w);
+    fields(io, const_cast<mem::MemoryConfig &>(m));
 }
 
-JobSpec
-deserializeJobSpec(BinaryReader &r, std::uint32_t version)
+void
+writeRunSpec(BinaryWriter &w, const RunSpec &spec)
 {
-    JobSpec job;
-    job.label = r.str();
-    job.workload = r.str();
-    job.workloadParams = readWorkloadParams(r);
-    job.traceFile = r.str();
-    job.spec = readRunSpec(r);
-    job.sampling = readSamplingParams(r, version);
-    const auto mode = r.pod<std::uint8_t>();
-    if (mode > static_cast<std::uint8_t>(BatchMode::Both))
-        throwIoError("'%s': corrupt batch mode", r.name().c_str());
-    job.mode = static_cast<BatchMode>(mode);
-    if (version >= 3) {
-        job.sliceCount = r.pod<std::uint32_t>();
-        job.sliceIndex = r.pod<std::uint32_t>();
-        job.startBoundary = r.pod<std::uint64_t>();
-        job.stopBoundary = r.pod<std::uint64_t>();
-        if (job.sliceCount > 0 && job.sliceIndex >= job.sliceCount)
-            throwIoError("'%s': corrupt slice coordinates",
-                         r.name().c_str());
-    }
-    return job;
+    StateIo io(w);
+    fields(io, const_cast<RunSpec &>(spec));
+}
+
+void
+writeSamplingParams(BinaryWriter &w, const sampling::SamplingParams &p)
+{
+    StateIo io(w);
+    fields(io, const_cast<sampling::SamplingParams &>(p),
+           kPlanFormatVersion);
+}
+
+sampling::SamplingParams
+readSamplingParams(BinaryReader &r, std::uint32_t version)
+{
+    StateIo io(r);
+    sampling::SamplingParams p;
+    fields(io, p, version);
+    return p;
 }
 
 void
@@ -237,11 +173,8 @@ serializePlan(const ExperimentPlan &plan, std::ostream &out)
     BinaryWriter w(out);
     w.pod(kPlanMagic);
     w.pod(kPlanFormatVersion);
-    w.pod(plan.baseSeed);
-    writeBool(w, plan.deriveSeeds);
-    w.pod<std::uint64_t>(plan.jobs.size());
-    for (const JobSpec &job : plan.jobs)
-        serializeJobSpec(w, job);
+    StateIo io(w);
+    fields(io, const_cast<ExperimentPlan &>(plan), kPlanFormatVersion);
 }
 
 void
@@ -269,18 +202,9 @@ deserializePlan(std::istream &in, const std::string &name)
                      "(this build reads %u..%u)",
                      name.c_str(), version, kMinPlanFormatVersion,
                      kPlanFormatVersion);
+    StateIo io(r);
     ExperimentPlan plan;
-    plan.baseSeed = r.pod<std::uint64_t>();
-    plan.deriveSeeds = readBool(r);
-    const auto count = r.pod<std::uint64_t>();
-    // Every job occupies far more than one byte, so a count beyond
-    // the remaining stream length is certainly corrupt and must not
-    // drive the reserve below.
-    if (count > r.remainingBytes())
-        throwIoError("'%s': corrupt job count", name.c_str());
-    plan.jobs.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i)
-        plan.jobs.push_back(deserializeJobSpec(r, version));
+    fields(io, plan, version);
     r.expectEof();
     return plan;
 }
@@ -300,7 +224,8 @@ jobSpecDigest(const JobSpec &job)
     std::ostringstream bytes(std::ios::binary);
     BinaryWriter w(bytes);
     w.pod(kPlanFormatVersion);
-    serializeJobSpec(w, job);
+    StateIo io(w);
+    fields(io, const_cast<JobSpec &>(job), kPlanFormatVersion);
     return hexDigest128(bytes.str());
 }
 

@@ -34,6 +34,7 @@
 namespace tp {
 class BinaryReader;
 class BinaryWriter;
+class StateIo;
 }
 
 namespace tp::harness {
@@ -133,18 +134,24 @@ inline constexpr std::uint32_t kPlanFormatVersion = 3;
 /** Oldest plan format deserializePlan still accepts. */
 inline constexpr std::uint32_t kMinPlanFormatVersion = 1;
 
-// Building blocks, shared with harness/result_cache key material.
-void writeWorkloadParams(BinaryWriter &w,
-                         const work::WorkloadParams &p);
-work::WorkloadParams readWorkloadParams(BinaryReader &r);
 /**
- * Write every MemoryConfig field (a writeRunSpec building block,
+ * The one field list of a JobSpec, for both directions (StateIo,
+ * common/binary_io.hh); plans, shards and job digests all go through
+ * it. Writers pass kPlanFormatVersion, readers the version the bytes
+ * were written at: fields a version predates are skipped and take
+ * the values that version implied (see kPlanFormatVersion). Throws
+ * IoError on a corrupt load.
+ */
+void fields(StateIo &io, JobSpec &job, std::uint32_t version);
+
+// Building blocks, shared with harness/result_cache key material.
+/**
+ * Write every MemoryConfig field (part of the RunSpec encoding,
  * exposed on its own as the memory-configuration digest material of
  * checkpoint cache keys — see harness::memoryConfigDigest).
  */
 void writeMemoryConfig(BinaryWriter &w, const mem::MemoryConfig &m);
 void writeRunSpec(BinaryWriter &w, const RunSpec &spec);
-RunSpec readRunSpec(BinaryReader &r);
 void writeSamplingParams(BinaryWriter &w,
                          const sampling::SamplingParams &p);
 /**
@@ -153,17 +160,6 @@ void writeSamplingParams(BinaryWriter &w,
  */
 sampling::SamplingParams
 readSamplingParams(BinaryReader &r,
-                   std::uint32_t version = kPlanFormatVersion);
-
-/** Write one JobSpec (payload only, no framing). */
-void serializeJobSpec(BinaryWriter &w, const JobSpec &job);
-
-/**
- * Exact inverse of serializeJobSpec for bytes written at `version`
- * (defaults to current); throws IoError on corruption.
- */
-JobSpec
-deserializeJobSpec(BinaryReader &r,
                    std::uint32_t version = kPlanFormatVersion);
 
 /** Write a plan (magic, version, jobs) to a stream. */

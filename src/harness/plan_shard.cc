@@ -20,6 +20,42 @@ constexpr std::uint64_t kShardMagic = 0x5450534852443101ULL; // TPSHRD1.
 // TPMANIF1: frames the tiny checkpoint-manifest payload.
 constexpr std::uint64_t kManifestMagic = 0x54504d414e494631ULL;
 
+/** A shard after its header: provenance, seed policy, jobs. */
+void
+fields(StateIo &io, PlanShard &shard)
+{
+    io.str(shard.planDigest);
+    io.pod(shard.shardIndex);
+    io.pod(shard.shardCount);
+    if (io.loading() &&
+        (shard.shardCount == 0 || shard.shardIndex >= shard.shardCount))
+        io.corrupt(strprintf("shard position %u/%u", shard.shardIndex,
+                             shard.shardCount)
+                       .c_str());
+    io.pod(shard.baseSeed);
+    io.flag(shard.deriveSeeds);
+    io.flag(shard.collectTimelines);
+    io.length(shard.jobs, 1, "job count");
+    for (ShardJob &sj : shard.jobs) {
+        io.pod(sj.planIndex);
+        fields(io, sj.job, kPlanFormatVersion);
+    }
+}
+
+/** A checkpoint manifest: magic, checkpoint format, boundary count. */
+void
+manifestFields(StateIo &io, std::uint64_t &boundaryCount)
+{
+    std::uint64_t magic = kManifestMagic;
+    std::uint32_t version = sim::kCheckpointFormatVersion;
+    io.pod(magic);
+    io.pod(version);
+    if (magic != kManifestMagic ||
+        version != sim::kCheckpointFormatVersion)
+        io.corrupt("checkpoint manifest header");
+    io.pod(boundaryCount);
+}
+
 } // namespace
 
 std::pair<std::size_t, std::size_t>
@@ -92,17 +128,8 @@ serializeShard(const PlanShard &shard, std::ostream &out)
     w.pod(kShardMagic);
     w.pod(kShardFormatVersion);
     w.pod(kPlanFormatVersion); // jobs use the plan encoding
-    w.str(shard.planDigest);
-    w.pod(shard.shardIndex);
-    w.pod(shard.shardCount);
-    w.pod(shard.baseSeed);
-    writeBool(w, shard.deriveSeeds);
-    writeBool(w, shard.collectTimelines);
-    w.pod<std::uint64_t>(shard.jobs.size());
-    for (const ShardJob &sj : shard.jobs) {
-        w.pod(sj.planIndex);
-        serializeJobSpec(w, sj.job);
-    }
+    StateIo io(w);
+    fields(io, const_cast<PlanShard &>(shard));
 }
 
 void
@@ -129,28 +156,9 @@ deserializeShard(std::istream &in, const std::string &name)
     if (r.pod<std::uint32_t>() != kPlanFormatVersion)
         throwIoError("'%s': unsupported job encoding version",
                      name.c_str());
+    StateIo io(r);
     PlanShard shard;
-    shard.planDigest = r.str();
-    shard.shardIndex = r.pod<std::uint32_t>();
-    shard.shardCount = r.pod<std::uint32_t>();
-    if (shard.shardCount == 0 ||
-        shard.shardIndex >= shard.shardCount)
-        throwIoError("'%s': corrupt shard position %u/%u",
-                     name.c_str(), shard.shardIndex,
-                     shard.shardCount);
-    shard.baseSeed = r.pod<std::uint64_t>();
-    shard.deriveSeeds = readBool(r);
-    shard.collectTimelines = readBool(r);
-    const auto count = r.pod<std::uint64_t>();
-    if (count > r.remainingBytes())
-        throwIoError("'%s': corrupt job count", name.c_str());
-    shard.jobs.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        ShardJob sj;
-        sj.planIndex = r.pod<std::uint64_t>();
-        sj.job = deserializeJobSpec(r);
-        shard.jobs.push_back(std::move(sj));
-    }
+    fields(io, shard);
     r.expectEof();
     return shard;
 }
@@ -169,9 +177,8 @@ serializeCheckpointManifest(std::uint64_t boundaryCount)
 {
     std::ostringstream bytes(std::ios::binary);
     BinaryWriter w(bytes);
-    w.pod(kManifestMagic);
-    w.pod(sim::kCheckpointFormatVersion);
-    w.pod(boundaryCount);
+    StateIo io(w);
+    manifestFields(io, boundaryCount);
     return bytes.str();
 }
 
@@ -181,11 +188,9 @@ parseCheckpointManifest(const std::string &blob)
     try {
         std::istringstream in(blob, std::ios::binary);
         BinaryReader r(in, "checkpoint manifest");
-        if (r.pod<std::uint64_t>() != kManifestMagic)
-            return std::nullopt;
-        if (r.pod<std::uint32_t>() != sim::kCheckpointFormatVersion)
-            return std::nullopt;
-        const auto count = r.pod<std::uint64_t>();
+        StateIo io(r);
+        std::uint64_t count = 0;
+        manifestFields(io, count);
         r.expectEof();
         return count;
     } catch (const IoError &) {

@@ -7,9 +7,6 @@
 
 namespace tp::harness {
 
-namespace {
-
-/** Open `path` for writing; fatal on failure (user-supplied path). */
 std::unique_ptr<std::ostream>
 openReportFile(const std::string &path)
 {
@@ -21,7 +18,6 @@ openReportFile(const std::string &path)
     return out;
 }
 
-/** RFC-4180 quoting: wrap iff the cell needs it. */
 std::string
 csvCell(const std::string &s)
 {
@@ -36,6 +32,22 @@ csvCell(const std::string &s)
     quoted += '"';
     return quoted;
 }
+
+std::string
+fmtReportDouble(double v)
+{
+    std::string s = strprintf("%.17g", v);
+    for (int prec = 1; prec < 17; ++prec) {
+        std::string candidate = strprintf("%.*g", prec, v);
+        if (std::stod(candidate) == v) {
+            s = candidate;
+            break;
+        }
+    }
+    return s;
+}
+
+namespace {
 
 /** JSON string literal (quotes, backslashes, control chars). */
 std::string
@@ -68,25 +80,6 @@ jsonString(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-/**
- * Shortest-repr double: %.17g round-trips every double, but prints
- * 0.5 as 0.5, so identical values always render identically — the
- * property machine-diffable reports need.
- */
-std::string
-fmtReportDouble(double v)
-{
-    std::string s = strprintf("%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        std::string candidate = strprintf("%.*g", prec, v);
-        if (std::stod(candidate) == v) {
-            s = candidate;
-            break;
-        }
-    }
-    return s;
 }
 
 const std::vector<std::string> kSummaryHeader = {

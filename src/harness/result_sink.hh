@@ -314,6 +314,22 @@ TextTable batchSummaryTable(const std::string &title,
 /** Accumulate errorPct of all Both-mode results (common/statistics). */
 RunningStats batchErrorStats(const std::vector<BatchResult> &results);
 
+// Helpers shared by the file-writing sinks here and in
+// harness/trace_report.
+
+/** Open `path` for writing; fatal on failure (user-supplied path). */
+std::unique_ptr<std::ostream> openReportFile(const std::string &path);
+
+/** RFC-4180 quoting: wrap iff the cell needs it. */
+std::string csvCell(const std::string &s);
+
+/**
+ * Shortest-repr double: %.17g round-trips every double, but prints
+ * 0.5 as 0.5, so identical values always render identically — the
+ * property machine-diffable reports need.
+ */
+std::string fmtReportDouble(double v);
+
 } // namespace tp::harness
 
 #endif // TP_HARNESS_RESULT_SINK_HH

@@ -1,64 +1,13 @@
 #include "harness/trace_report.hh"
 
-#include <fstream>
 #include <ostream>
 
 #include "common/logging.hh"
 
 namespace tp::harness {
 
-namespace {
-
-/** Open `path` for writing; fatal on failure (user-supplied path). */
-std::unique_ptr<std::ostream>
-openTraceFile(const std::string &path)
-{
-    auto out =
-        std::make_unique<std::ofstream>(path, std::ios::trunc);
-    if (!*out)
-        fatal("cannot open trace report file '%s' for writing",
-              path.c_str());
-    return out;
-}
-
-/** RFC-4180 quoting: wrap iff the cell needs it. */
-std::string
-csvCell(const std::string &s)
-{
-    if (s.find_first_of(",\"\n\r") == std::string::npos)
-        return s;
-    std::string quoted = "\"";
-    for (char c : s) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-}
-
-/**
- * Shortest round-trip double formatting (the CsvSink discipline):
- * identical values always render identically.
- */
-std::string
-fmtReportDouble(double v)
-{
-    std::string s = strprintf("%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        std::string candidate = strprintf("%.*g", prec, v);
-        if (std::stod(candidate) == v) {
-            s = candidate;
-            break;
-        }
-    }
-    return s;
-}
-
-} // namespace
-
 ChromeTraceSink::ChromeTraceSink(const std::string &path)
-    : owned_(openTraceFile(path)),
+    : owned_(openReportFile(path)),
       stream_(std::make_unique<sim::ChromeTraceStream>(*owned_))
 {
 }
@@ -88,7 +37,7 @@ ChromeTraceSink::end()
 }
 
 TimelineStatsSink::TimelineStatsSink(const std::string &path)
-    : owned_(openTraceFile(path)), out_(*owned_)
+    : owned_(openReportFile(path)), out_(*owned_)
 {
 }
 

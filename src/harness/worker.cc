@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/binary_io.hh"
@@ -143,57 +144,59 @@ class StreamPublishingSink final : public ResultSink
     std::size_t published_ = 0;
 };
 
+/** A presence flag, then `v`'s fields (`declare(*v)`) when present. */
+template <typename T, typename Declare>
+void
+optionalFields(StateIo &io, std::optional<T> &v, Declare &&declare)
+{
+    bool present = v.has_value();
+    io.flag(present);
+    if (present) {
+        if (io.loading())
+            v.emplace();
+        declare(*v);
+    }
+}
+
+/** The one field list of a BatchResult, for both directions. */
+void
+fields(StateIo &io, BatchResult &r)
+{
+    io.pod<std::uint64_t>(r.index);
+    io.str(r.label);
+    optionalFields(io, r.sampled,
+                   [&io](SampledOutcome &o) { sim::fields(io, o); });
+    optionalFields(io, r.reference,
+                   [&io](sim::SimResult &res) { sim::fields(io, res); });
+    optionalFields(io, r.comparison, [&io](ErrorSpeedup &c) {
+        io.pod(c.errorPct);
+        io.pod(c.wallSpeedup);
+        io.pod(c.detailFraction);
+    });
+    io.flag(r.referenceFromCache);
+    io.flag(r.sampledFromCache);
+    io.pod(r.hostSeconds);
+    optionalFields(io, r.timeline,
+                   [&io](sim::JobTimeline &t) { sim::fields(io, t); });
+}
+
 } // namespace
 
 void
 serializeBatchResult(const BatchResult &r, std::ostream &out)
 {
     BinaryWriter w(out);
-    w.pod<std::uint64_t>(r.index);
-    w.str(r.label);
-    writeBool(w, r.sampled.has_value());
-    if (r.sampled)
-        sim::serializeSampledOutcome(*r.sampled, out);
-    writeBool(w, r.reference.has_value());
-    if (r.reference)
-        sim::serializeResult(*r.reference, out);
-    writeBool(w, r.comparison.has_value());
-    if (r.comparison) {
-        w.pod(r.comparison->errorPct);
-        w.pod(r.comparison->wallSpeedup);
-        w.pod(r.comparison->detailFraction);
-    }
-    writeBool(w, r.referenceFromCache);
-    writeBool(w, r.sampledFromCache);
-    w.pod(r.hostSeconds);
-    writeBool(w, r.timeline.has_value());
-    if (r.timeline)
-        sim::serializeTimeline(*r.timeline, out);
+    StateIo io(w);
+    fields(io, const_cast<BatchResult &>(r));
 }
 
 BatchResult
 deserializeBatchResult(std::istream &in, const std::string &name)
 {
     BinaryReader r(in, name);
+    StateIo io(r);
     BatchResult res;
-    res.index = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    res.label = r.str();
-    if (readBool(r))
-        res.sampled = sim::deserializeSampledOutcome(in, name);
-    if (readBool(r))
-        res.reference = sim::deserializeResult(in, name);
-    if (readBool(r)) {
-        ErrorSpeedup es;
-        es.errorPct = r.pod<double>();
-        es.wallSpeedup = r.pod<double>();
-        es.detailFraction = r.pod<double>();
-        res.comparison = es;
-    }
-    res.referenceFromCache = readBool(r);
-    res.sampledFromCache = readBool(r);
-    res.hostSeconds = r.pod<double>();
-    if (readBool(r))
-        res.timeline = sim::deserializeTimeline(r);
+    fields(io, res);
     return res;
 }
 

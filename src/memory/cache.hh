@@ -179,9 +179,6 @@ class Cache
     /** @return accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
 
-    /** Zero the statistics (contents untouched). */
-    void clearStats() { stats_ = CacheStats{}; }
-
     /** @return configuration. */
     const CacheConfig &config() const { return config_; }
 

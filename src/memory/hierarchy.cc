@@ -258,36 +258,4 @@ Hierarchy::stats() const
     return s;
 }
 
-void
-Hierarchy::clearStats()
-{
-    for (Cache &c : l1s_)
-        c.clearStats();
-    for (Cache &c : l2s_)
-        c.clearStats();
-    if (l3_)
-        l3_->clearStats();
-    // Port/DRAM counters reset with reservations preserved would skew
-    // mean queue delay; keep them cumulative instead.
-}
-
-double
-Hierarchy::l1Occupancy() const
-{
-    double sum = 0.0;
-    for (const Cache &c : l1s_)
-        sum += c.occupancy();
-    return sum / double(l1s_.size());
-}
-
-double
-Hierarchy::sharedOccupancy() const
-{
-    if (l3_)
-        return l3_->occupancy();
-    if (config_.l2Shared)
-        return l2s_[0].occupancy();
-    return 1.0;
-}
-
 } // namespace tp::mem

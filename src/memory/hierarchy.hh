@@ -114,16 +114,6 @@ class Hierarchy
     /** @return summed statistics. */
     HierarchyStats stats() const;
 
-    /** Zero all statistics (contents untouched). */
-    void clearStats();
-
-    /** @return mean occupancy of the L1 caches, in [0,1]. */
-    double l1Occupancy() const;
-
-    /** @return occupancy of the last shared level (L3, shared L2 or
-     *          1.0 when the hierarchy has no shared cache). */
-    double sharedOccupancy() const;
-
     /** @return number of cores. */
     std::uint32_t numCores() const
     {

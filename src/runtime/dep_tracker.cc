@@ -39,13 +39,6 @@ DepTracker::state(StateIo &io)
         io.corrupt("dependency-tracker counters");
 }
 
-bool
-DepTracker::eligible(TaskInstanceId id) const
-{
-    return !done_[id] && remainingDeps_[id] == 0 &&
-           trace_.instance(id).epoch == currentEpoch_;
-}
-
 std::vector<TaskInstanceId>
 DepTracker::initialReady() const
 {

@@ -62,8 +62,6 @@ class DepTracker
     void state(StateIo &io);
 
   private:
-    bool eligible(TaskInstanceId id) const;
-
     const trace::TaskTrace &trace_;
     std::vector<std::uint32_t> remainingDeps_;
     std::vector<bool> done_;

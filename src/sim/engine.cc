@@ -350,14 +350,4 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
     return result_;
 }
 
-SimResult
-runDetailedReference(const SimConfig &config,
-                     const trace::TaskTrace &trace)
-{
-    SimConfig ref = config;
-    ref.noise.enabled = false;
-    Engine engine(ref, trace);
-    return engine.run(nullptr);
-}
-
 } // namespace tp::sim

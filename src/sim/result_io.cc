@@ -1,6 +1,5 @@
 #include "sim/result_io.hh"
 
-#include <algorithm>
 #include <fstream>
 
 #include "common/binary_io.hh"
@@ -13,105 +12,128 @@ namespace {
 
 constexpr std::uint64_t kEnvelopeMagic = 0x5450454e56310a00ULL; // TPENV1.
 
+/** Largest length any list of a result payload may claim. */
+constexpr std::uint64_t kMaxListLength = 1ULL << 32;
+
+/** Bytes of one TaskRecord and one PhaseChange on the wire. */
+constexpr std::size_t kTaskRecordBytes = 49;
+constexpr std::size_t kPhaseChangeBytes = 9;
+
+/** A list length, bounded by the bytes left and kMaxListLength. */
+template <typename C>
 void
-writeCacheStats(BinaryWriter &w, const mem::CacheStats &s)
+listLength(StateIo &io, C &c, std::size_t min_bytes, const char *what)
 {
-    w.pod(s.accesses);
-    w.pod(s.hits);
-    w.pod(s.misses);
-    w.pod(s.evictions);
-    w.pod(s.writebacks);
-    w.pod(s.invalidations);
-    w.pod(s.prefetchFills);
+    io.length(c, min_bytes, what);
+    if (io.loading() && c.size() > kMaxListLength)
+        io.corrupt(what);
 }
 
-mem::CacheStats
-readCacheStats(BinaryReader &r)
+void
+fields(StateIo &io, mem::CacheStats &s)
 {
-    mem::CacheStats s;
-    s.accesses = r.pod<std::uint64_t>();
-    s.hits = r.pod<std::uint64_t>();
-    s.misses = r.pod<std::uint64_t>();
-    s.evictions = r.pod<std::uint64_t>();
-    s.writebacks = r.pod<std::uint64_t>();
-    s.invalidations = r.pod<std::uint64_t>();
-    s.prefetchFills = r.pod<std::uint64_t>();
-    return s;
+    io.pod(s.accesses);
+    io.pod(s.hits);
+    io.pod(s.misses);
+    io.pod(s.evictions);
+    io.pod(s.writebacks);
+    io.pod(s.invalidations);
+    io.pod(s.prefetchFills);
+}
+
+void
+fields(StateIo &io, TaskRecord &t)
+{
+    io.pod(t.id);
+    io.pod(t.type);
+    io.pod(t.thread);
+    io.pod(t.start);
+    io.pod(t.end);
+    io.pod(t.insts);
+    io.tag(t.mode, SimMode::Fast, "task mode");
+    io.pod(t.ipc);
 }
 
 } // namespace
 
 void
+fields(StateIo &io, SimResult &r)
+{
+    io.pod(r.totalCycles);
+    io.pod(r.detailedTasks);
+    io.pod(r.fastTasks);
+    io.pod(r.detailedInsts);
+    io.pod(r.fastInsts);
+    io.pod(r.wallSeconds);
+    io.pod(r.avgActiveCores);
+
+    fields(io, r.memStats.l1);
+    fields(io, r.memStats.l2);
+    fields(io, r.memStats.l3);
+    io.pod(r.memStats.dramRequests);
+    io.pod(r.memStats.dramMeanQueueDelay);
+    io.pod(r.memStats.coherenceInvalidations);
+
+    listLength(io, r.tasks, kTaskRecordBytes, "task-record count");
+    for (TaskRecord &t : r.tasks)
+        fields(io, t);
+}
+
+void
+fields(StateIo &io, harness::SampledOutcome &o)
+{
+    fields(io, o.result);
+
+    sampling::SamplingStats &s = o.stats;
+    io.pod(s.warmupTasks);
+    io.pod(s.sampleTasks);
+    io.pod(s.fastTasks);
+    io.pod(s.resamples);
+    io.pod(s.resamplesPeriod);
+    io.pod(s.resamplesNewType);
+    io.pod(s.resamplesConcurrency);
+    io.pod(s.phaseChanges);
+
+    listLength(io, o.phaseLog, kPhaseChangeBytes, "phase-log count");
+    for (sampling::PhaseChange &c : o.phaseLog) {
+        io.pod(c.at);
+        io.tag(c.to, sampling::Phase::Fast, "phase value");
+    }
+
+    listLength(io, o.validHistSizes, sizeof(std::uint64_t),
+               "history-size count");
+    for (std::size_t &n : o.validHistSizes)
+        io.pod<std::uint64_t>(n);
+
+    sampling::AdaptiveDiagnostics &a = o.adaptive;
+    io.flag(a.enabled);
+    io.pod(a.targetError);
+    io.pod(a.finalRelHalfWidth);
+    io.pod(a.stopCycle);
+    io.pod(a.allocationRounds);
+    io.flag(a.cutoffStopped);
+    io.flag(a.budgetStopped);
+    listLength(io, a.strataSamples, sizeof(std::uint64_t),
+               "strata-sample count");
+    for (std::uint64_t &n : a.strataSamples)
+        io.pod(n);
+}
+
+void
 serializeResult(const SimResult &r, std::ostream &out)
 {
     BinaryWriter w(out);
-    w.pod(r.totalCycles);
-    w.pod(r.detailedTasks);
-    w.pod(r.fastTasks);
-    w.pod(r.detailedInsts);
-    w.pod(r.fastInsts);
-    w.pod(r.wallSeconds);
-    w.pod(r.avgActiveCores);
-
-    writeCacheStats(w, r.memStats.l1);
-    writeCacheStats(w, r.memStats.l2);
-    writeCacheStats(w, r.memStats.l3);
-    w.pod(r.memStats.dramRequests);
-    w.pod(r.memStats.dramMeanQueueDelay);
-    w.pod(r.memStats.coherenceInvalidations);
-
-    w.pod<std::uint64_t>(r.tasks.size());
-    for (const TaskRecord &t : r.tasks) {
-        w.pod(t.id);
-        w.pod(t.type);
-        w.pod(t.thread);
-        w.pod(t.start);
-        w.pod(t.end);
-        w.pod(t.insts);
-        w.pod(static_cast<std::uint8_t>(t.mode));
-        w.pod(t.ipc);
-    }
+    StateIo io(w);
+    fields(io, const_cast<SimResult &>(r));
 }
 
 SimResult
 deserializeResult(std::istream &in, const std::string &name)
 {
     BinaryReader r(in, name);
+    StateIo io(r);
     SimResult res;
-    res.totalCycles = r.pod<Cycles>();
-    res.detailedTasks = r.pod<std::uint64_t>();
-    res.fastTasks = r.pod<std::uint64_t>();
-    res.detailedInsts = r.pod<InstCount>();
-    res.fastInsts = r.pod<InstCount>();
-    res.wallSeconds = r.pod<double>();
-    res.avgActiveCores = r.pod<double>();
-
-    res.memStats.l1 = readCacheStats(r);
-    res.memStats.l2 = readCacheStats(r);
-    res.memStats.l3 = readCacheStats(r);
-    res.memStats.dramRequests = r.pod<std::uint64_t>();
-    res.memStats.dramMeanQueueDelay = r.pod<double>();
-    res.memStats.coherenceInvalidations = r.pod<std::uint64_t>();
-
-    const auto ntasks = r.pod<std::uint64_t>();
-    if (ntasks > (1ULL << 32))
-        throwIoError("'%s': corrupt task-record count", name.c_str());
-    // Pre-size only within reason: ntasks is untrusted until the
-    // reads below prove the stream actually holds that many records.
-    res.tasks.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(ntasks, 1ULL << 16)));
-    for (std::uint64_t i = 0; i < ntasks; ++i) {
-        TaskRecord t;
-        t.id = r.pod<TaskInstanceId>();
-        t.type = r.pod<TaskTypeId>();
-        t.thread = r.pod<ThreadId>();
-        t.start = r.pod<Cycles>();
-        t.end = r.pod<Cycles>();
-        t.insts = r.pod<InstCount>();
-        t.mode = static_cast<SimMode>(r.pod<std::uint8_t>());
-        t.ipc = r.pod<double>();
-        res.tasks.push_back(t);
-    }
+    fields(io, res);
     return res;
 }
 
@@ -227,101 +249,18 @@ void
 serializeSampledOutcome(const harness::SampledOutcome &o,
                         std::ostream &out)
 {
-    serializeResult(o.result, out);
-
     BinaryWriter w(out);
-    const sampling::SamplingStats &s = o.stats;
-    w.pod(s.warmupTasks);
-    w.pod(s.sampleTasks);
-    w.pod(s.fastTasks);
-    w.pod(s.resamples);
-    w.pod(s.resamplesPeriod);
-    w.pod(s.resamplesNewType);
-    w.pod(s.resamplesConcurrency);
-    w.pod(s.phaseChanges);
-
-    w.pod<std::uint64_t>(o.phaseLog.size());
-    for (const sampling::PhaseChange &c : o.phaseLog) {
-        w.pod(c.at);
-        w.pod(static_cast<std::uint8_t>(c.to));
-    }
-
-    w.pod<std::uint64_t>(o.validHistSizes.size());
-    for (std::size_t n : o.validHistSizes)
-        w.pod<std::uint64_t>(n);
-
-    const sampling::AdaptiveDiagnostics &a = o.adaptive;
-    w.pod<std::uint8_t>(a.enabled ? 1 : 0);
-    w.pod(a.targetError);
-    w.pod(a.finalRelHalfWidth);
-    w.pod(a.stopCycle);
-    w.pod(a.allocationRounds);
-    w.pod<std::uint8_t>(a.cutoffStopped ? 1 : 0);
-    w.pod<std::uint8_t>(a.budgetStopped ? 1 : 0);
-    w.pod<std::uint64_t>(a.strataSamples.size());
-    for (std::uint64_t n : a.strataSamples)
-        w.pod(n);
+    StateIo io(w);
+    fields(io, const_cast<harness::SampledOutcome &>(o));
 }
 
 harness::SampledOutcome
 deserializeSampledOutcome(std::istream &in, const std::string &name)
 {
-    harness::SampledOutcome o;
-    o.result = deserializeResult(in, name);
-
     BinaryReader r(in, name);
-    sampling::SamplingStats &s = o.stats;
-    s.warmupTasks = r.pod<std::uint64_t>();
-    s.sampleTasks = r.pod<std::uint64_t>();
-    s.fastTasks = r.pod<std::uint64_t>();
-    s.resamples = r.pod<std::uint64_t>();
-    s.resamplesPeriod = r.pod<std::uint64_t>();
-    s.resamplesNewType = r.pod<std::uint64_t>();
-    s.resamplesConcurrency = r.pod<std::uint64_t>();
-    s.phaseChanges = r.pod<std::uint64_t>();
-
-    const auto nphases = r.pod<std::uint64_t>();
-    if (nphases > (1ULL << 32))
-        throwIoError("'%s': corrupt phase-log count", name.c_str());
-    o.phaseLog.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(nphases, 1ULL << 16)));
-    for (std::uint64_t i = 0; i < nphases; ++i) {
-        sampling::PhaseChange c;
-        c.at = r.pod<Cycles>();
-        const auto phase = r.pod<std::uint8_t>();
-        if (phase >
-            static_cast<std::uint8_t>(sampling::Phase::Fast))
-            throwIoError("'%s': corrupt phase value", name.c_str());
-        c.to = static_cast<sampling::Phase>(phase);
-        o.phaseLog.push_back(c);
-    }
-
-    const auto ntypes = r.pod<std::uint64_t>();
-    if (ntypes > (1ULL << 32))
-        throwIoError("'%s': corrupt history-size count",
-                     name.c_str());
-    o.validHistSizes.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(ntypes, 1ULL << 16)));
-    for (std::uint64_t i = 0; i < ntypes; ++i)
-        o.validHistSizes.push_back(
-            static_cast<std::size_t>(r.pod<std::uint64_t>()));
-
-    sampling::AdaptiveDiagnostics &a = o.adaptive;
-    a.enabled = r.pod<std::uint8_t>() != 0;
-    a.targetError = r.pod<double>();
-    a.finalRelHalfWidth = r.pod<double>();
-    a.stopCycle = r.pod<Cycles>();
-    a.allocationRounds = r.pod<std::uint64_t>();
-    a.cutoffStopped = r.pod<std::uint8_t>() != 0;
-    a.budgetStopped = r.pod<std::uint8_t>() != 0;
-    const auto nstrata = r.pod<std::uint64_t>();
-    if (nstrata > (1ULL << 32))
-        throwIoError("'%s': corrupt strata-sample count",
-                     name.c_str());
-    a.strataSamples.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(nstrata, 1ULL << 16)));
-    for (std::uint64_t i = 0; i < nstrata; ++i)
-        a.strataSamples.push_back(r.pod<std::uint64_t>());
+    StateIo io(r);
+    harness::SampledOutcome o;
+    fields(io, o);
     return o;
 }
 

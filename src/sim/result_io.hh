@@ -25,6 +25,10 @@
 
 #include "sim/sim_result.hh"
 
+namespace tp {
+class StateIo;
+}
+
 namespace tp::harness {
 struct SampledOutcome;
 }
@@ -38,6 +42,16 @@ namespace tp::sim {
  * instead of decoding garbage.
  */
 inline constexpr std::uint32_t kResultFormatVersion = 1;
+
+/**
+ * The one field list of a SimResult, for both directions (StateIo,
+ * common/binary_io.hh): serializeResult, deserializeResult and every
+ * format that embeds a result go through it.
+ */
+void fields(StateIo &io, SimResult &r);
+
+/** The one field list of a SampledOutcome (its result comes first). */
+void fields(StateIo &io, harness::SampledOutcome &o);
 
 /** Write `r` to a stream (payload only, no framing or checksum). */
 void serializeResult(const SimResult &r, std::ostream &out);

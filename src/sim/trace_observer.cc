@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/binary_io.hh"
@@ -14,6 +13,14 @@ namespace {
 
 constexpr std::uint64_t kTimelineMagic = 0x5450544c4e453101ULL;
 constexpr std::uint32_t kTimelineFormatVersion = 1;
+
+/** Bytes of one task, phase and sample of a timeline on the wire. */
+constexpr std::size_t kTaskBytes = 65;
+constexpr std::size_t kPhaseBytes = 9;
+constexpr std::size_t kSampleBytes = 56;
+
+/** Largest type-name count a timeline may claim. */
+constexpr std::uint64_t kMaxTypeNames = 1ULL << 16;
 
 /**
  * Deterministic double formatting for trace JSON: %.6g never emits
@@ -48,119 +55,73 @@ phaseName(std::uint8_t phase)
 }
 
 void
+fields(StateIo &io, JobTimeline &t)
+{
+    std::uint64_t magic = kTimelineMagic;
+    io.pod(magic);
+    if (magic != kTimelineMagic)
+        io.corrupt("timeline magic");
+    std::uint32_t version = kTimelineFormatVersion;
+    io.pod(version);
+    if (version != kTimelineFormatVersion)
+        io.corrupt(strprintf("timeline format v%u, expected v%u",
+                             version, kTimelineFormatVersion)
+                       .c_str());
+
+    io.pod(t.cores);
+    io.pod(t.totalCycles);
+    io.length(t.typeNames, sizeof(std::uint64_t), "timeline type count");
+    if (io.loading() && t.typeNames.size() > kMaxTypeNames)
+        io.corrupt("timeline type count");
+    for (std::string &n : t.typeNames)
+        io.str(n);
+
+    io.length(t.tasks, kTaskBytes, "timeline task count");
+    for (TimelineTask &task : t.tasks) {
+        io.pod(task.id);
+        io.pod(task.type);
+        io.pod(task.core);
+        io.pod(task.scheduled);
+        io.pod(task.start);
+        io.pod(task.end);
+        io.pod(task.insts);
+        io.pod(task.mode);
+        io.pod(task.ipc);
+        io.pod(task.readyAfter);
+    }
+
+    io.length(t.phases, kPhaseBytes, "timeline phase count");
+    for (TimelinePhase &p : t.phases) {
+        io.pod(p.at);
+        io.pod(p.phase);
+    }
+
+    io.length(t.samples, kSampleBytes, "timeline sample count");
+    for (TimelineSample &s : t.samples) {
+        io.pod(s.boundary);
+        io.pod(s.at);
+        io.pod(s.l1Misses);
+        io.pod(s.l2Misses);
+        io.pod(s.l3Misses);
+        io.pod(s.dramRequests);
+        io.pod(s.coherenceInvalidations);
+    }
+}
+
+void
 serializeTimeline(const JobTimeline &t, std::ostream &out)
 {
     BinaryWriter w(out);
-    w.pod(kTimelineMagic);
-    w.pod(kTimelineFormatVersion);
-    w.pod(t.cores);
-    w.pod(t.totalCycles);
-    w.pod<std::uint64_t>(t.typeNames.size());
-    for (const std::string &n : t.typeNames)
-        w.str(n);
-    w.pod<std::uint64_t>(t.tasks.size());
-    for (const TimelineTask &task : t.tasks) {
-        w.pod(task.id);
-        w.pod(task.type);
-        w.pod(task.core);
-        w.pod(task.scheduled);
-        w.pod(task.start);
-        w.pod(task.end);
-        w.pod(task.insts);
-        w.pod(task.mode);
-        w.pod(task.ipc);
-        w.pod(task.readyAfter);
-    }
-    w.pod<std::uint64_t>(t.phases.size());
-    for (const TimelinePhase &p : t.phases) {
-        w.pod(p.at);
-        w.pod(p.phase);
-    }
-    w.pod<std::uint64_t>(t.samples.size());
-    for (const TimelineSample &s : t.samples) {
-        w.pod(s.boundary);
-        w.pod(s.at);
-        w.pod(s.l1Misses);
-        w.pod(s.l2Misses);
-        w.pod(s.l3Misses);
-        w.pod(s.dramRequests);
-        w.pod(s.coherenceInvalidations);
-    }
+    StateIo io(w);
+    fields(io, const_cast<JobTimeline &>(t));
 }
 
 JobTimeline
 deserializeTimeline(BinaryReader &r)
 {
-    if (r.pod<std::uint64_t>() != kTimelineMagic)
-        throwIoError("'%s': not a timeline (bad magic)",
-                     r.name().c_str());
-    const auto version = r.pod<std::uint32_t>();
-    if (version != kTimelineFormatVersion) {
-        throwIoError("'%s': timeline format v%u, expected v%u",
-                     r.name().c_str(), version,
-                     kTimelineFormatVersion);
-    }
+    StateIo io(r);
     JobTimeline t;
-    t.cores = r.pod<std::uint32_t>();
-    t.totalCycles = r.pod<Cycles>();
-    const auto ntypes = r.pod<std::uint64_t>();
-    if (ntypes > (1ULL << 16))
-        throwIoError("'%s': corrupt timeline type count",
-                     r.name().c_str());
-    t.typeNames.reserve(static_cast<std::size_t>(ntypes));
-    for (std::uint64_t i = 0; i < ntypes; ++i)
-        t.typeNames.push_back(r.str());
-
-    const auto ntasks = r.pod<std::uint64_t>();
-    // Each serialized task is 65 bytes; bound the reserve by what
-    // the stream can actually hold.
-    if (ntasks > r.remainingBytes() / 65 + 1)
-        throwIoError("'%s': corrupt timeline task count",
-                     r.name().c_str());
-    t.tasks.reserve(static_cast<std::size_t>(ntasks));
-    for (std::uint64_t i = 0; i < ntasks; ++i) {
-        TimelineTask task;
-        task.id = r.pod<TaskInstanceId>();
-        task.type = r.pod<TaskTypeId>();
-        task.core = r.pod<ThreadId>();
-        task.scheduled = r.pod<Cycles>();
-        task.start = r.pod<Cycles>();
-        task.end = r.pod<Cycles>();
-        task.insts = r.pod<InstCount>();
-        task.mode = r.pod<std::uint8_t>();
-        task.ipc = r.pod<double>();
-        task.readyAfter = r.pod<std::uint64_t>();
-        t.tasks.push_back(task);
-    }
-
-    const auto nphases = r.pod<std::uint64_t>();
-    if (nphases > r.remainingBytes() / 9 + 1)
-        throwIoError("'%s': corrupt timeline phase count",
-                     r.name().c_str());
-    t.phases.reserve(static_cast<std::size_t>(nphases));
-    for (std::uint64_t i = 0; i < nphases; ++i) {
-        TimelinePhase p;
-        p.at = r.pod<Cycles>();
-        p.phase = r.pod<std::uint8_t>();
-        t.phases.push_back(p);
-    }
-
-    const auto nsamples = r.pod<std::uint64_t>();
-    if (nsamples > r.remainingBytes() / 56 + 1)
-        throwIoError("'%s': corrupt timeline sample count",
-                     r.name().c_str());
-    t.samples.reserve(static_cast<std::size_t>(nsamples));
-    for (std::uint64_t i = 0; i < nsamples; ++i) {
-        TimelineSample s;
-        s.boundary = r.pod<std::uint64_t>();
-        s.at = r.pod<Cycles>();
-        s.l1Misses = r.pod<std::uint64_t>();
-        s.l2Misses = r.pod<std::uint64_t>();
-        s.l3Misses = r.pod<std::uint64_t>();
-        s.dramRequests = r.pod<std::uint64_t>();
-        s.coherenceInvalidations = r.pod<std::uint64_t>();
-        t.samples.push_back(s);
-    }
+    fields(io, t);
     return t;
 }
 
@@ -441,61 +402,6 @@ emitTimelineEvents(ChromeTraceStream &stream, std::uint64_t pid,
                 static_cast<unsigned long long>(
                     s.coherenceInvalidations)));
     }
-}
-
-ChromeTraceWriter::ChromeTraceWriter(std::string path,
-                                     std::string label)
-    : path_(std::move(path)), label_(std::move(label))
-{}
-
-void
-ChromeTraceWriter::onRunBegin(std::uint32_t cores,
-                              const std::vector<std::string> &types)
-{
-    recorder_.onRunBegin(cores, types);
-}
-
-void
-ChromeTraceWriter::onPhaseChange(Cycles at, std::uint8_t phase)
-{
-    recorder_.onPhaseChange(at, phase);
-}
-
-void
-ChromeTraceWriter::onTaskScheduled(ThreadId core, TaskInstanceId id,
-                                   Cycles at)
-{
-    recorder_.onTaskScheduled(core, id, at);
-}
-
-void
-ChromeTraceWriter::onTaskEnd(ThreadId core,
-                             const trace::TaskInstance &inst,
-                             Cycles start, Cycles end, SimMode mode,
-                             double ipc, std::uint64_t readyTasks)
-{
-    recorder_.onTaskEnd(core, inst, start, end, mode, ipc, readyTasks);
-}
-
-void
-ChromeTraceWriter::onSampleBoundary(std::uint64_t boundary, Cycles at,
-                                    const mem::HierarchyStats &mem)
-{
-    recorder_.onSampleBoundary(boundary, at, mem);
-}
-
-void
-ChromeTraceWriter::onRunEnd(Cycles totalCycles)
-{
-    recorder_.onRunEnd(totalCycles);
-    std::ofstream out(path_, std::ios::binary);
-    if (!out)
-        fatal("cannot open trace output '%s'", path_.c_str());
-    ChromeTraceStream stream(out);
-    emitTimelineEvents(stream, 0, label_, recorder_.timeline());
-    stream.close();
-    if (!out.good())
-        fatal("failed writing trace output '%s'", path_.c_str());
 }
 
 } // namespace tp::sim

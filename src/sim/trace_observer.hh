@@ -17,8 +17,6 @@
  *                           serializes into result streams, so remote
  *                           worker shards ship their timeline slice
  *                           back to the coordinator.
- *  - ChromeTraceWriter    — streams one run straight into a Chrome
- *                           trace-event JSON file.
  *
  * JobTimeline is also the transport for the report-side sinks in
  * harness/trace_report.hh (Chrome trace merging, per-core stats).
@@ -40,6 +38,7 @@
 
 namespace tp {
 class BinaryReader;
+class StateIo;
 }
 
 namespace tp::sim {
@@ -160,6 +159,13 @@ struct JobTimeline
     std::vector<TimelineSample> samples;
 };
 
+/**
+ * The one field list of a JobTimeline (magic and version first), for
+ * both directions (StateIo, common/binary_io.hh); BatchResult embeds
+ * it.
+ */
+void fields(StateIo &io, JobTimeline &t);
+
 /** Serialize `t` (binary, versioned) onto `out`. */
 void serializeTimeline(const JobTimeline &t, std::ostream &out);
 
@@ -262,33 +268,6 @@ std::string jsonQuote(const std::string &s);
 void emitTimelineEvents(ChromeTraceStream &stream, std::uint64_t pid,
                         const std::string &label,
                         const JobTimeline &t);
-
-/**
- * Single-run observer that records the timeline and writes a
- * complete Chrome trace-event document to `path` at onRunEnd.
- */
-class ChromeTraceWriter final : public TraceObserver
-{
-  public:
-    ChromeTraceWriter(std::string path, std::string label);
-
-    void onRunBegin(std::uint32_t cores,
-                    const std::vector<std::string> &types) override;
-    void onPhaseChange(Cycles at, std::uint8_t phase) override;
-    void onTaskScheduled(ThreadId core, TaskInstanceId id,
-                         Cycles at) override;
-    void onTaskEnd(ThreadId core, const trace::TaskInstance &inst,
-                   Cycles start, Cycles end, SimMode mode, double ipc,
-                   std::uint64_t readyTasks) override;
-    void onSampleBoundary(std::uint64_t boundary, Cycles at,
-                          const mem::HierarchyStats &mem) override;
-    void onRunEnd(Cycles totalCycles) override;
-
-  private:
-    TimelineRecorder recorder_;
-    std::string path_;
-    std::string label_;
-};
 
 } // namespace tp::sim
 

@@ -21,6 +21,10 @@
 #include "common/types.hh"
 #include "trace/task.hh"
 
+namespace tp {
+class StateIo;
+}
+
 namespace tp::trace {
 
 class TraceBuilder;
@@ -89,8 +93,8 @@ class TaskTrace
 
   private:
     friend class TraceBuilder;
-    friend TaskTrace deserializeTrace(std::istream &in,
-                                      const std::string &name);
+    /** The one field list of a trace (trace/trace_io.cc). */
+    friend void fields(StateIo &io, TaskTrace &t);
 
     std::string name_;
     std::vector<TaskType> types_;

@@ -15,44 +15,126 @@ namespace {
 constexpr std::uint64_t kMagic = 0x5450545243453101ULL; // "TPTRCE1."
 constexpr std::uint32_t kVersion = 1;
 
+/**
+ * Bytes a task type takes at least (id, name and variant-count
+ * lengths), and a task instance exactly, on the wire.
+ */
+constexpr std::size_t kMinTypeBytes = 20;
+constexpr std::size_t kInstanceBytes = 50;
+/** Bytes of one KernelProfile on the wire. */
+constexpr std::size_t kProfileBytes = 85;
+
+/** Largest counts a trace may claim. */
+constexpr std::uint64_t kMaxTypes = 1ULL << 20;
+constexpr std::uint64_t kMaxVariants = 1ULL << 16;
+constexpr std::uint64_t kMaxInstances = 1ULL << 32;
+
 void
-writeProfile(BinaryWriter &w, const KernelProfile &p)
+fields(StateIo &io, KernelProfile &p)
 {
-    w.pod(p.loadFrac);
-    w.pod(p.storeFrac);
-    w.pod(p.branchFrac);
-    w.pod(p.fpFrac);
-    w.pod(p.mulFrac);
-    w.pod(p.ilpMean);
-    w.pod(p.indepFrac);
-    w.pod(static_cast<std::uint8_t>(p.pattern.kind));
-    w.pod(p.pattern.strideBytes);
-    w.pod(p.pattern.sharedFrac);
-    w.pod(p.pattern.zipfS);
-    w.pod(p.pattern.sharedFootprint);
+    io.pod(p.loadFrac);
+    io.pod(p.storeFrac);
+    io.pod(p.branchFrac);
+    io.pod(p.fpFrac);
+    io.pod(p.mulFrac);
+    io.pod(p.ilpMean);
+    io.pod(p.indepFrac);
+    io.tag(p.pattern.kind, MemPatternKind::PointerChase,
+           "memory pattern kind");
+    io.pod(p.pattern.strideBytes);
+    io.pod(p.pattern.sharedFrac);
+    io.pod(p.pattern.zipfS);
+    io.pod(p.pattern.sharedFootprint);
 }
 
-KernelProfile
-readProfile(BinaryReader &r)
+void
+fields(StateIo &io, TaskType &t)
 {
-    KernelProfile p;
-    p.loadFrac = r.pod<double>();
-    p.storeFrac = r.pod<double>();
-    p.branchFrac = r.pod<double>();
-    p.fpFrac = r.pod<double>();
-    p.mulFrac = r.pod<double>();
-    p.ilpMean = r.pod<double>();
-    p.indepFrac = r.pod<double>();
-    p.pattern.kind =
-        static_cast<MemPatternKind>(r.pod<std::uint8_t>());
-    p.pattern.strideBytes = r.pod<std::uint32_t>();
-    p.pattern.sharedFrac = r.pod<double>();
-    p.pattern.zipfS = r.pod<double>();
-    p.pattern.sharedFootprint = r.pod<Addr>();
-    return p;
+    io.pod(t.id);
+    io.str(t.name);
+    io.length(t.variants, kProfileBytes, "variant count");
+    if (io.loading() && t.variants.size() > kMaxVariants)
+        io.corrupt("variant count");
+    for (KernelProfile &p : t.variants)
+        fields(io, p);
+}
+
+void
+fields(StateIo &io, TaskInstance &ti)
+{
+    io.pod(ti.id);
+    io.pod(ti.type);
+    io.pod(ti.instCount);
+    io.pod(ti.privFootprint);
+    io.pod(ti.privBase);
+    io.pod(ti.seed);
+    io.pod(ti.variant);
+    io.pod(ti.epoch);
 }
 
 } // namespace
+
+void
+fields(StateIo &io, TaskTrace &t)
+{
+    io.str(t.name_);
+    io.length(t.types_, kMinTypeBytes, "task-type count");
+    if (io.loading() && t.types_.size() > kMaxTypes)
+        io.corrupt("task-type count");
+    for (TaskType &type : t.types_)
+        fields(io, type);
+
+    io.length(t.instances_, kInstanceBytes, "instance count");
+    const std::uint64_t n = t.instances_.size();
+    if (io.loading() && n > kMaxInstances)
+        io.corrupt("instance count");
+    for (TaskInstance &ti : t.instances_) {
+        fields(io, ti);
+        // Builder epochs are dense, so a valid trace has at most one
+        // epoch per instance; anything larger is corruption (and
+        // would blow up the epochSizes_ allocation below).
+        if (io.loading() && ti.epoch >= n)
+            io.corrupt("instance epoch");
+    }
+
+    // Dependency CSR as per-instance successor lists; loading
+    // rebuilds the offsets and in-degrees from them.
+    if (io.loading()) {
+        t.succOffsets_.assign(n + 1, 0);
+        t.inDegree_.assign(n, 0);
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::uint64_t count = t.succOffsets_[i + 1] - t.succOffsets_[i];
+        io.pod(count);
+        if (io.loading()) {
+            if (count > n)
+                io.corrupt("successor count");
+            t.succOffsets_[i + 1] = t.succOffsets_[i] + count;
+            t.succs_.resize(t.succOffsets_[i + 1]);
+        }
+        for (std::uint64_t k = t.succOffsets_[i];
+             k < t.succOffsets_[i + 1]; ++k) {
+            io.pod(t.succs_[k]);
+            if (io.loading()) {
+                if (t.succs_[k] >= n)
+                    io.corrupt("successor id");
+                ++t.inDegree_[t.succs_[k]];
+            }
+        }
+    }
+
+    if (io.loading()) {
+        std::uint32_t maxEpoch = 0;
+        t.totalInsts_ = 0;
+        for (const TaskInstance &ti : t.instances_) {
+            maxEpoch = std::max(maxEpoch, ti.epoch);
+            t.totalInsts_ += ti.instCount;
+        }
+        t.epochSizes_.assign(maxEpoch + 1, 0);
+        for (const TaskInstance &ti : t.instances_)
+            ++t.epochSizes_[ti.epoch];
+    }
+}
 
 void
 serializeTrace(const TaskTrace &trace, std::ostream &out)
@@ -60,36 +142,8 @@ serializeTrace(const TaskTrace &trace, std::ostream &out)
     BinaryWriter w(out);
     w.pod(kMagic);
     w.pod(kVersion);
-    w.str(trace.name());
-
-    w.pod<std::uint64_t>(trace.types().size());
-    for (const TaskType &t : trace.types()) {
-        w.pod(t.id);
-        w.str(t.name);
-        w.pod<std::uint64_t>(t.variants.size());
-        for (const KernelProfile &p : t.variants)
-            writeProfile(w, p);
-    }
-
-    w.pod<std::uint64_t>(trace.instances().size());
-    for (const TaskInstance &ti : trace.instances()) {
-        w.pod(ti.id);
-        w.pod(ti.type);
-        w.pod(ti.instCount);
-        w.pod(ti.privFootprint);
-        w.pod(ti.privBase);
-        w.pod(ti.seed);
-        w.pod(ti.variant);
-        w.pod(ti.epoch);
-    }
-
-    // Dependency CSR: emit per-instance successor lists.
-    for (TaskInstanceId i = 0; i < trace.size(); ++i) {
-        const auto succs = trace.successors(i);
-        w.pod<std::uint64_t>(succs.size());
-        for (TaskInstanceId s : succs)
-            w.pod(s);
-    }
+    StateIo io(w);
+    fields(io, const_cast<TaskTrace &>(trace));
 }
 
 void
@@ -126,78 +180,9 @@ deserializeTrace(std::istream &in, const std::string &name)
     if (r.pod<std::uint32_t>() != kVersion)
         throwIoError("'%s': unsupported trace version", name.c_str());
 
+    StateIo io(r);
     TaskTrace t;
-    t.name_ = r.str();
-
-    // Bound untrusted counts by the bytes actually left in the
-    // stream (each record has a fixed minimum encoding size), so a
-    // corrupt count fails here instead of attempting a huge
-    // allocation that escapes as bad_alloc or an OOM kill.
-    const std::uint64_t remaining = r.remainingBytes();
-
-    const auto ntypes = r.pod<std::uint64_t>();
-    if (ntypes > (1ULL << 20) || ntypes > remaining / 20)
-        throwIoError("'%s': corrupt task-type count", name.c_str());
-    t.types_.resize(ntypes);
-    for (auto &type : t.types_) {
-        type.id = r.pod<TaskTypeId>();
-        type.name = r.str();
-        const auto nvar = r.pod<std::uint64_t>();
-        if (nvar > (1ULL << 16))
-            throwIoError("'%s': corrupt variant count", name.c_str());
-        type.variants.reserve(nvar);
-        for (std::uint64_t v = 0; v < nvar; ++v)
-            type.variants.push_back(readProfile(r));
-    }
-
-    // A serialized TaskInstance occupies 50 bytes.
-    const auto ninst = r.pod<std::uint64_t>();
-    if (ninst > (1ULL << 32) || ninst > remaining / 50)
-        throwIoError("'%s': corrupt instance count", name.c_str());
-    t.instances_.resize(ninst);
-    std::uint32_t max_epoch = 0;
-    t.totalInsts_ = 0;
-    for (auto &ti : t.instances_) {
-        ti.id = r.pod<TaskInstanceId>();
-        ti.type = r.pod<TaskTypeId>();
-        ti.instCount = r.pod<InstCount>();
-        ti.privFootprint = r.pod<Addr>();
-        ti.privBase = r.pod<Addr>();
-        ti.seed = r.pod<std::uint64_t>();
-        ti.variant = r.pod<std::uint16_t>();
-        ti.epoch = r.pod<std::uint32_t>();
-        // Builder epochs are dense, so a valid trace has at most
-        // one epoch per instance; anything larger is corruption
-        // (and would blow up the epochSizes_ allocation below).
-        if (ti.epoch >= ninst)
-            throwIoError("'%s': corrupt instance epoch",
-                         name.c_str());
-        max_epoch = std::max(max_epoch, ti.epoch);
-        t.totalInsts_ += ti.instCount;
-    }
-
-    t.inDegree_.assign(ninst, 0);
-    t.succOffsets_.assign(ninst + 1, 0);
-    for (TaskInstanceId i = 0; i < ninst; ++i) {
-        const auto nsucc = r.pod<std::uint64_t>();
-        if (nsucc > ninst)
-            throwIoError("'%s': corrupt successor count",
-                         name.c_str());
-        t.succOffsets_[i + 1] = t.succOffsets_[i] + nsucc;
-        for (std::uint64_t k = 0; k < nsucc; ++k) {
-            const auto s = r.pod<TaskInstanceId>();
-            t.succs_.push_back(s);
-            if (s >= ninst)
-                throwIoError("'%s': successor id out of range",
-                             name.c_str());
-            ++t.inDegree_[s];
-        }
-    }
-
-    t.epochSizes_.assign(max_epoch + 1, 0);
-    for (const auto &ti : t.instances_)
-        ++t.epochSizes_[ti.epoch];
-
+    fields(io, t);
     t.validate();
     return t;
 }

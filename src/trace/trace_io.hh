@@ -9,10 +9,10 @@
  * serialized bytes) and, eventually, shipping traces to
  * out-of-process workers.
  *
- * Corruption (truncation, bad magic, implausible lengths, dangling
- * dependency edges) raises IoError — recoverable, see
- * common/binary_io — so a damaged file can be skipped by a batch
- * instead of killing it. A trace that decodes structurally but
+ * Corruption (truncation, bad magic, implausible lengths, an
+ * out-of-range memory-pattern kind, dangling dependency edges)
+ * raises IoError — recoverable, see common/binary_io — so a damaged
+ * file can be skipped by a batch instead of killing it. A trace that decodes structurally but
  * violates DAG invariants still panics in TaskTrace::validate(),
  * which signals a serializer bug rather than bad bytes.
  */

@@ -221,6 +221,32 @@ TEST_F(TraceIoCorruption, HugeCountIsRejectedBeforeAllocating)
                  IoError);
 }
 
+TEST_F(TraceIoCorruption, OutOfRangePatternKindThrowsIoError)
+{
+    // The memory-pattern kind byte of type 0's first variant follows
+    // magic, version, the trace name, the type count, the type's id
+    // and name, its variant count and the profile's seven doubles.
+    // An out-of-range kind must fail the load, naming the file, not
+    // panic later when the instruction stream is generated.
+    const TaskType &type = trace_.types()[0];
+    const std::size_t kindOff = 8 + 4 + 8 + trace_.name().size() + 8 +
+                                4 + 8 + type.name.size() + 8 + 7 * 8;
+    ASSERT_LT(kindOff, bytes_.size());
+    ASSERT_EQ(static_cast<std::uint8_t>(bytes_[kindOff]),
+              static_cast<std::uint8_t>(type.variants[0].pattern.kind));
+
+    std::string bad = bytes_;
+    bad[kindOff] = 7;
+    const std::string path = writeFile("kind", bad);
+    try {
+        (void)deserializeTrace(path);
+        FAIL() << "an out-of-range pattern kind must not load";
+    } catch (const IoError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(TraceIoCorruption, FlippedTrailingByteFailsCleanly)
 {
     // The final bytes encode successor counts/ids; flipping the last
