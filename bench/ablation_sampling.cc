@@ -81,7 +81,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    const bench::PlanExecutor runner(opts);
+    bench::PlanExecutor runner(opts);
 
     // Detailed references per (benchmark, scheduler).
     harness::ExperimentPlan refPlan;

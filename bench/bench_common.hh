@@ -253,14 +253,17 @@ applyPlanOptions(const FigureOptions &opts,
  * begin()/end() are deliberately not forwarded: one executor can run
  * several plans (references, then a sampled sweep) and the merged
  * trace document must span all of them — it is closed when the
- * executor is destroyed.
+ * executor is destroyed. The copies are numbered run-wide (index
+ * plus `offset`, the jobs of earlier plans), so no two jobs of the
+ * document share a trace process or a stats row.
  */
 class FigureTraceTee final : public harness::ResultSink
 {
   public:
     FigureTraceTee(harness::ResultSink &inner,
-                   const std::vector<harness::ResultSink *> &taps)
-        : inner_(&inner), taps_(&taps)
+                   const std::vector<harness::ResultSink *> &taps,
+                   std::size_t offset)
+        : inner_(&inner), taps_(&taps), offset_(offset)
     {}
 
     void
@@ -274,6 +277,7 @@ class FigureTraceTee final : public harness::ResultSink
     {
         for (harness::ResultSink *tap : *taps_) {
             harness::BatchResult copy = result;
+            copy.index += offset_;
             tap->consume(std::move(copy));
         }
         inner_->consume(std::move(result));
@@ -284,6 +288,7 @@ class FigureTraceTee final : public harness::ResultSink
   private:
     harness::ResultSink *inner_;
     const std::vector<harness::ResultSink *> *taps_;
+    std::size_t offset_;
 };
 
 /**
@@ -291,13 +296,14 @@ class FigureTraceTee final : public harness::ResultSink
  * (FigureOptions::executor).
  *
  * The executor holds one BatchRunner, so a driver running several
- * plans (references, then a sampled sweep) realizes each trace once
- * and shares it — and resolveTrace() works for structure statistics
+ * plans (references, then a sampled sweep) realizes each shared
+ * trace once — and resolveTrace() works for structure statistics
  * in-process and under `--workers` alike.
  *
  * `--trace-out`/`--trace-stats` tee every run's results into a
  * ChromeTraceSink / TimelineStatsSink spanning all plans the
- * executor runs; the trace documents close on destruction.
+ * executor runs, numbered run-wide (see FigureTraceTee); the trace
+ * documents close on destruction.
  */
 class PlanExecutor
 {
@@ -323,20 +329,20 @@ class PlanExecutor
     }
 
     void
-    run(const harness::ExperimentPlan &plan,
-        harness::ResultSink &sink) const
+    run(const harness::ExperimentPlan &plan, harness::ResultSink &sink)
     {
         if (taps_.empty()) {
             executor_.run(plan, sink);
         } else {
-            FigureTraceTee tee(sink, taps_);
+            FigureTraceTee tee(sink, taps_, traced_);
             executor_.run(plan, tee);
+            traced_ += plan.jobs.size();
         }
     }
 
     /** Convenience: run `plan` collecting into a vector. */
     std::vector<harness::BatchResult>
-    run(const harness::ExperimentPlan &plan) const
+    run(const harness::ExperimentPlan &plan)
     {
         harness::CollectingSink sink;
         run(plan, sink);
@@ -354,6 +360,8 @@ class PlanExecutor
     const harness::Executor &executor_;
     std::vector<std::unique_ptr<harness::ResultSink>> traceSinks_;
     std::vector<harness::ResultSink *> taps_;
+    /** Jobs of the plans already teed into the trace sinks. */
+    std::size_t traced_ = 0;
 };
 
 /** Execute one figure plan (see PlanExecutor). */

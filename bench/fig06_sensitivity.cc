@@ -56,7 +56,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    const bench::PlanExecutor runner(opts);
+    bench::PlanExecutor runner(opts);
 
     // Shared detailed references: one Reference-mode job per
     // (benchmark, thread count).

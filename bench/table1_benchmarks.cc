@@ -53,7 +53,7 @@ main(int argc, char **argv)
             plan.jobs.push_back(j);
         }
     }
-    const bench::PlanExecutor runner(opts);
+    bench::PlanExecutor runner(opts);
     const std::vector<harness::BatchResult> results =
         runner.run(plan);
     bench::reportCacheStats(opts);

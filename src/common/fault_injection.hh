@@ -20,8 +20,7 @@
  * TASKPOINT_FAULT_PLAN environment variable; the CLI layer exports
  * the variable so spawned workers and runners inherit the plan,
  * and an optional `once` marker prefix arbitrates fleet-wide faults
- * (e.g. "exactly one runner aborts") through O_CREAT|O_EXCL claims,
- * the same idiom as the worker kill-once test hook.
+ * (e.g. "exactly one runner aborts") through O_CREAT|O_EXCL claims.
  */
 
 #ifndef TP_COMMON_FAULT_INJECTION_HH

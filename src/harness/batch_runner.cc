@@ -33,6 +33,24 @@ validateSource(const JobSpec &job, const std::string &who)
               who.c_str(), job.label.c_str());
 }
 
+/**
+ * Identity of a job's trace source. Workload traces are pure
+ * functions of (name, params), so the key is the name plus the bit
+ * patterns of every parameter; file traces key on the path (the file
+ * must not change during the runner's lifetime).
+ */
+std::string
+traceSourceKey(const JobSpec &job)
+{
+    if (!job.traceFile.empty())
+        return "f:" + job.traceFile;
+    const work::WorkloadParams &p = job.workloadParams;
+    return "w:" + job.workload + ":" +
+           toHex(std::bit_cast<std::uint64_t>(p.scale)) +
+           toHex(std::bit_cast<std::uint64_t>(p.instrScale)) +
+           toHex(p.seed);
+}
+
 } // namespace
 
 void
@@ -55,19 +73,54 @@ struct BatchRunner::TraceEntry
 };
 
 /**
- * Once-per-source realization of traces. The first worker needing a
- * source builds it (generation or file load) while holders of other
- * sources proceed concurrently; later workers naming the same source
- * wait on the shared future. A failed build (e.g. a corrupt trace
- * file raising IoError) is remembered and rethrown to every job
- * sharing the source.
+ * Once-per-source realization of retained traces. The first worker
+ * needing a retained source builds it (generation or file load)
+ * while holders of other sources proceed concurrently; later workers
+ * naming the same source wait on the shared future. A failed build
+ * (e.g. a corrupt trace file raising IoError) is remembered and
+ * rethrown to every job sharing the source.
  */
 class BatchRunner::TraceStore
 {
   public:
     using EntryPtr = std::shared_ptr<const TraceEntry>;
 
-    /** Realize a job's trace without memoizing it. */
+    /**
+     * @return the trace of `job`'s source: the retained one when
+     *         there is one, else a fresh realization — retained when
+     *         `retain` is set, local to the caller otherwise.
+     */
+    EntryPtr
+    get(const JobSpec &job, bool wantDigest, bool retain)
+    {
+        const std::string key = traceSourceKey(job);
+        std::promise<EntryPtr> promise;
+        std::shared_future<EntryPtr> future;
+        bool builder = false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            const auto it = slots_.find(key);
+            if (it != slots_.end()) {
+                future = it->second;
+            } else if (retain) {
+                future = promise.get_future().share();
+                slots_.emplace(key, future);
+                builder = true;
+            }
+        }
+        if (!future.valid())
+            return build(job, wantDigest);
+        if (builder) {
+            try {
+                promise.set_value(build(job, wantDigest));
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+            }
+        }
+        return future.get();
+    }
+
+  private:
     static EntryPtr
     build(const JobSpec &job, bool wantDigest)
     {
@@ -80,53 +133,6 @@ class BatchRunner::TraceStore
         if (wantDigest)
             entry->digest = traceDigest(entry->trace);
         return entry;
-    }
-
-    EntryPtr
-    get(const JobSpec &job, bool wantDigest)
-    {
-        const std::string key = sourceKey(job);
-        std::promise<EntryPtr> promise;
-        std::shared_future<EntryPtr> future;
-        bool builder = false;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            const auto it = slots_.find(key);
-            if (it != slots_.end()) {
-                future = it->second;
-            } else {
-                future = promise.get_future().share();
-                slots_.emplace(key, future);
-                builder = true;
-            }
-        }
-        if (builder) {
-            try {
-                promise.set_value(build(job, wantDigest));
-            } catch (...) {
-                promise.set_exception(std::current_exception());
-            }
-        }
-        return future.get();
-    }
-
-  private:
-    /**
-     * Memoization key of a job's trace source. Workload traces are
-     * pure functions of (name, params), so the key is the name plus
-     * the bit patterns of every parameter; file traces key on the
-     * path (the file must not change during the runner's lifetime).
-     */
-    static std::string
-    sourceKey(const JobSpec &job)
-    {
-        if (!job.traceFile.empty())
-            return "f:" + job.traceFile;
-        const work::WorkloadParams &p = job.workloadParams;
-        return "w:" + job.workload + ":" +
-               toHex(std::bit_cast<std::uint64_t>(p.scale)) +
-               toHex(std::bit_cast<std::uint64_t>(p.instrScale)) +
-               toHex(p.seed);
     }
 
     std::mutex mu_;
@@ -169,25 +175,24 @@ BatchRunner::resolveTrace(const JobSpec &job) const
 {
     validateSource(job, "resolveTrace job");
     const TraceStore::EntryPtr entry =
-        traces_->get(job, options_.cache != nullptr);
+        traces_->get(job, options_.cache != nullptr, true);
     return {entry, &entry->trace};
 }
 
 BatchResult
 BatchRunner::runJob(const JobSpec &job, std::size_t index,
-                    bool memoizeTrace) const
+                    bool retainTrace) const
 {
     const auto t0 = std::chrono::steady_clock::now();
 
     // Realize (or wait for) the trace this job describes; digested
-    // once per source when a cache is attached. Traces unique to
-    // this job (derived-seed workload generation) stay local to it
-    // and are freed when the job finishes, so huge derived-seed
-    // plans don't accumulate one retained trace per job.
+    // once per source when a cache is attached. A trace no other job
+    // of the run names stays local to this job and is freed when it
+    // finishes, so huge derived-seed plans don't accumulate one
+    // retained trace per job.
     const bool wantDigest = options_.cache != nullptr;
     const TraceStore::EntryPtr entry =
-        memoizeTrace ? traces_->get(job, wantDigest)
-                     : TraceStore::build(job, wantDigest);
+        traces_->get(job, wantDigest, retainTrace);
     const trace::TaskTrace &trace = entry->trace;
 
     BatchResult r;
@@ -366,22 +371,16 @@ BatchRunner::run(const ExperimentPlan &plan, ResultSink &sink) const
     validatePlanJobs(plan);
 
     // Live-points: split sampled jobs with recorded checkpoints into
-    // per-interval slices. Timelines cover whole runs, so slice
-    // expansion is off under collectTimelines (restore-vs-replay
-    // bit-identity keeps the deterministic report columns unchanged
-    // either way).
-    const bool expand =
-        options_.expandSlices && !options_.collectTimelines;
-    std::uint32_t maxSlices = options_.checkpointSlices;
-    if (maxSlices == 0) {
-        const std::size_t workers =
-            options_.jobs != 0 ? options_.jobs
-                               : std::thread::hardware_concurrency();
-        maxSlices = static_cast<std::uint32_t>(
-            std::max<std::size_t>(workers, 1));
-    }
+    // per-interval slices, at most one per worker thread. Timelines
+    // cover whole runs, so slice expansion is off under
+    // collectTimelines (restore-vs-replay bit-identity keeps the
+    // deterministic report columns unchanged either way).
+    const std::size_t workers =
+        options_.jobs != 0 ? options_.jobs
+                           : std::thread::hardware_concurrency();
     runWithCheckpointSlices(
-        plan, expand ? options_.checkpoints : nullptr, maxSlices,
+        plan, options_.collectTimelines ? nullptr : options_.checkpoints,
+        static_cast<std::uint32_t>(std::max<std::size_t>(workers, 1)),
         options_.progress, sink,
         [this](const ExperimentPlan &p, ResultSink &s) {
             runResolved(p, s);
@@ -403,12 +402,12 @@ BatchRunner::runResolved(const ExperimentPlan &plan,
     const std::vector<JobSpec> &jobs =
         plan.deriveSeeds ? seeded : plan.jobs;
 
-    // A derived-seed workload job realizes a trace no other job can
-    // share (its generation seed is unique to its index), so only
-    // shared sources go through the memo store; callers running
-    // pre-resolved derived-seed jobs opt out the same way.
-    const bool memoizeWorkloads =
-        !plan.deriveSeeds && options_.memoizeWorkloadTraces;
+    // Retain a trace only when two or more jobs of this run name its
+    // source. A derived-seed plan (or a shard of one) gives every
+    // workload job a unique seed, so it retains nothing.
+    std::map<std::string, std::size_t> uses;
+    for (const JobSpec &job : jobs)
+        ++uses[traceSourceKey(job)];
 
     sink.begin(jobs.size());
     {
@@ -416,11 +415,10 @@ BatchRunner::runResolved(const ExperimentPlan &plan,
         std::vector<std::future<BatchResult>> futures;
         futures.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const bool memoize =
-                memoizeWorkloads || !jobs[i].traceFile.empty();
+            const bool retain = uses[traceSourceKey(jobs[i])] > 1;
             futures.push_back(
-                pool.submit([this, &job = jobs[i], i, memoize] {
-                    return runJob(job, i, memoize);
+                pool.submit([this, &job = jobs[i], i, retain] {
+                    return runJob(job, i, retain);
                 }));
         }
         // Deliver in submission order while the pool is still alive;

@@ -12,9 +12,11 @@
  * hold in memory can still be reported incrementally.
  *
  * Trace sharing: jobs describe their trace by value (workload name +
- * params, or a trace-file path), and the runner memoizes realization,
- * so many jobs naming the same source share one in-memory TaskTrace
- * and one content digest; distinct traces still generate/load
+ * params, or a trace-file path). A trace whose source two or more
+ * jobs of one run name is realized once and retained, so those jobs
+ * share one in-memory TaskTrace and one content digest; a trace only
+ * one job names stays local to it (unless an earlier run retained
+ * it, which is then reused). Distinct traces still generate/load
  * concurrently on the workers that first need them.
  *
  * Determinism: each job's RNG seeds (workload synthesis and noise
@@ -63,17 +65,6 @@ struct BatchOptions
     /** Emit one progress() line per finished job. */
     bool progress = false;
     /**
-     * Memoize realized workload traces across the jobs of
-     * non-seed-deriving plans. Disable when the caller knows every
-     * workload trace is unique to its job anyway — a worker
-     * executing a shard of a derived-seed plan (harness/worker)
-     * receives pre-resolved unique seeds in a deriveSeeds=false
-     * plan, and retaining those single-use traces for the whole
-     * shard would be pure memory growth. Trace-file sources are
-     * always memoized.
-     */
-    bool memoizeWorkloadTraces = true;
-    /**
      * Shared on-disk cache of simulation outcomes (not owned; must
      * outlive run()). When set, Reference/Both-mode jobs consult it
      * for the detailed reference and Sampled/Both-mode jobs for the
@@ -87,24 +78,14 @@ struct BatchOptions
      * outlive run()). When set, a sampled job with no recorded
      * manifest records a checkpoint at every sample boundary (when
      * the store is read-write), and later runs expand such jobs into
-     * per-interval slices that restore checkpoints instead of
-     * replaying the prefix, reassembled bit-identically by a
-     * SliceMergingSink (see harness/plan_shard.hh). nullptr =
+     * per-interval slices — at most one per worker thread, capped by
+     * the recorded boundary count — that restore checkpoints instead
+     * of replaying the prefix, reassembled bit-identically by a
+     * SliceMergingSink (see harness/plan_shard.hh) into one result
+     * per job. Slice jobs pass through unexpanded. nullptr =
      * checkpoints off.
      */
     ResultCache *checkpoints = nullptr;
-    /**
-     * Expand jobs into checkpoint slices in run(). Dispatch runners
-     * disable this: their tasks come from a plan the coordinator
-     * already expanded, and a runner re-expanding a job would
-     * publish more results than its task promises.
-     */
-    bool expandSlices = true;
-    /**
-     * Most slices one sampled job may split into; 0 derives it from
-     * the worker count. Capped by the recorded boundary count.
-     */
-    std::uint32_t checkpointSlices = 0;
     /**
      * Record each job's execution timeline (a TimelineRecorder on
      * the primary run) into BatchResult::timeline for the trace
@@ -180,15 +161,16 @@ class BatchRunner
                      ResultSink &sink) const;
 
     BatchResult runJob(const JobSpec &job, std::size_t index,
-                       bool memoizeTrace) const;
+                       bool retainTrace) const;
 
     BatchOptions options_;
     /**
-     * Memoized traces, shared by every run() of this runner — a
+     * Retained traces, shared by every run() of this runner — a
      * driver running several batches over the same workloads (e.g.
-     * references, then a sampled sweep) generates each trace once.
-     * Only shareable sources are retained: a derived-seed workload
-     * trace is unique to its job and stays local to it.
+     * references, then a sampled sweep) generates each shared trace
+     * once. A run retains the traces two or more of its jobs name
+     * (see file comment), so a derived-seed plan, whose workload
+     * seeds are unique per job, retains none.
      */
     std::unique_ptr<TraceStore> traces_;
 };

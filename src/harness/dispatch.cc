@@ -19,7 +19,6 @@
 #include "common/logging.hh"
 #include "common/subprocess.hh"
 #include "harness/result_cache.hh"
-#include "harness/worker.hh"
 #include "sim/result_io.hh"
 #include "workloads/workloads.hh"
 
@@ -61,6 +60,74 @@ slurp(const std::string &path)
     out << in.rdbuf();
     return out.str();
 }
+
+/**
+ * Appends each finished result of one shard task to the task's
+ * envelope stream, under its parent-plan index: BatchRunner numbers
+ * the shard's jobs 0..n-1, but the coordinator merges by plan index.
+ *
+ * Each append is one buffered write of a whole envelope followed by
+ * a flush, so a crash between jobs leaves a clean stream boundary
+ * and a crash mid-write leaves an incomplete tail — which the
+ * tailing coordinator's EnvelopeStreamReader treats as
+ * not-yet-published, never as a result.
+ */
+class StreamPublishingSink final : public ResultSink
+{
+  public:
+    StreamPublishingSink(const PlanShard &shard,
+                         const std::string &streamPath)
+        : shard_(shard), out_(streamPath, std::ios::binary),
+          path_(streamPath)
+    {
+        // The coordinator guarantees a fresh stream name per task
+        // (steal-generation-unique task names), so truncating here
+        // can never discard results a tailer already consumed.
+        if (!out_)
+            fatal("runner: cannot create result stream '%s'",
+                  path_.c_str());
+    }
+
+    void
+    consume(BatchResult &&r) override
+    {
+        tp_assert(r.index < shard_.jobs.size());
+        r.index = static_cast<std::size_t>(
+            shard_.jobs[r.index].planIndex);
+        std::ostringstream payload(std::ios::binary);
+        serializeBatchResult(r, payload);
+        std::ostringstream framed(std::ios::binary);
+        sim::writeEnvelope(framed, payload.str());
+
+        const std::string bytes = framed.str();
+        out_.write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+        out_.flush();
+        if (!out_.good())
+            fatal("runner: error appending to '%s'", path_.c_str());
+        // The append just became durable — the boundary every
+        // tailer's recovery story is written against. Injected data
+        // faults damage the stream tail on disk (a truncated or
+        // flipped envelope the reader must refuse); errno stands in
+        // for the append itself failing like the fatal above; abort
+        // kills this runner mid-task and delay wedges it with the
+        // stream silent (the stalled-stream watchdog's case).
+        if (const fault::FaultRule *f =
+                FAULT_CHECK("worker.stream.append")) {
+            if (f->action.kind == fault::FaultKind::ErrnoFault)
+                fatal("runner: injected %s appending to '%s' "
+                      "(fault site worker.stream.append)",
+                      fault::errnoToken(f->action.arg).c_str(),
+                      path_.c_str());
+            fault::corruptFile(*f, path_);
+        }
+    }
+
+  private:
+    const PlanShard &shard_;
+    std::ofstream out_;
+    std::string path_;
+};
 
 } // namespace
 
@@ -200,29 +267,6 @@ expectedShardCost(const PlanShard &shard)
     return cost;
 }
 
-bool
-shardFullyCached(const PlanShard &shard, ResultCache &cache)
-{
-    // Resolve seeds exactly as the executing runner will, or the
-    // probed keys would not be the keys the runner looks up.
-    const ExperimentPlan resolved = shardPlan(shard);
-    for (const JobSpec &job : resolved.jobs) {
-        if (job.workload.empty() || job.isSlice())
-            return false; // trace-file jobs / slices bypass probing
-        const std::string digest = traceDigest(
-            work::generateWorkload(job.workload,
-                                   job.workloadParams));
-        if (job.mode != BatchMode::Sampled &&
-            !cache.contains(resultCacheKey(digest, job.spec)))
-            return false;
-        if (job.mode != BatchMode::Reference &&
-            !cache.contains(
-                sampledCacheKey(digest, job.spec, job.sampling)))
-            return false;
-    }
-    return true;
-}
-
 HeartbeatWriter::HeartbeatWriter(std::string path,
                                  std::chrono::milliseconds interval)
     : path_(std::move(path)), interval_(interval),
@@ -330,16 +374,12 @@ runDispatchRunner(const DispatchRunnerOptions &options)
             if (options.progress)
                 progress(strprintf("runner %s: claimed %s",
                                    id.c_str(), task.c_str()));
-            WorkerOptions wo;
-            wo.shardPath = claim;
-            wo.outDir = spool.results;
-            wo.streamName = task + kStreamSuffix;
-            wo.batch = options.batch;
-            // The coordinator already expanded checkpoint slices; a
-            // runner re-expanding would publish more results than
-            // the task promises.
-            wo.batch.expandSlices = false;
-            runWorkerShard(wo);
+            const PlanShard shard = deserializeShard(claim);
+            BatchOptions batch = options.batch;
+            batch.collectTimelines = shard.collectTimelines;
+            StreamPublishingSink publish(shard,
+                                         spool.streamFile(task));
+            BatchRunner(batch).run(shardPlan(shard), publish);
             fs::rename(claim, spool.doneFile(task), rec);
             ++executed;
             ran = true;
@@ -445,23 +485,16 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
     {
         std::size_t idx;
         double cost;
-        bool cached;
     };
     std::vector<Ranked> ranked(shards.size());
     for (std::size_t i = 0; i < shards.size(); ++i) {
         ranked[i].idx = i;
         ranked[i].cost = expectedShardCost(shards[i]);
-        ranked[i].cached =
-            options.probeCache != nullptr &&
-            shardFullyCached(shards[i], *options.probeCache);
     }
-    // Cache-hit shards first (near-instant results keep the ordered
-    // sink streaming), then longest-expected-cost first so the
-    // likely stragglers start earliest.
+    // Longest-expected-cost first, so the likely stragglers start
+    // earliest.
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked &a, const Ranked &b) {
-                         if (a.cached != b.cached)
-                             return a.cached;
                          return a.cost > b.cost;
                      });
 

@@ -8,13 +8,13 @@
  * same-machine fleets, a shared filesystem for clusters). The
  * coordinator splits the plan into shard tasks, orders them with a
  * cost model, and publishes them into the spool; runners claim tasks
- * by atomic rename, execute them through the ordinary worker path
- * (harness/worker), and append results to one envelope stream per
- * task; the coordinator live-tails every stream and merges the
- * results through a ResultMerger into any existing ResultSink in
- * plan submission order — the same sink contract BatchRunner
- * honours, so a distributed campaign's deterministic report is
- * byte-identical to `--jobs=1`.
+ * by atomic rename, run each task's shard through an ordinary
+ * BatchRunner, and append results to one envelope stream per task;
+ * the coordinator live-tails every stream and merges the results
+ * through a ResultMerger into any existing ResultSink in plan
+ * submission order — the same sink contract BatchRunner honours, so
+ * a distributed campaign's deterministic report is byte-identical to
+ * `--jobs=1`.
  *
  * This is the only out-of-process executor: a driver's
  * `--workers=N` is a campaign with N local runners on a temp spool
@@ -43,9 +43,8 @@
  *
  * Task names are `task-pPPPP-gGG-sSSSS` (priority, steal generation,
  * shard id), so a lexicographic scan of queue/ *is* the schedule:
- * the cost model assigns low priorities to tasks whose results are
- * expected fastest (fully cache-hit shards first, then
- * longest-expected-cost first so stragglers start early).
+ * the cost model assigns low priorities to the tasks of longest
+ * expected cost, so stragglers start early.
  *
  * Fault handling. Every runner heartbeats; the coordinator tracks
  * heartbeat *change* against its own monotonic clock (no cross-host
@@ -84,8 +83,6 @@
 #include "harness/result_sink.hh"
 
 namespace tp::harness {
-
-class ResultCache;
 
 /** Parsed form of a spool task name (see file comment). */
 struct DispatchTaskName
@@ -142,16 +139,6 @@ double expectedJobCost(const JobSpec &job);
 
 /** Sum of expectedJobCost over a shard's jobs. */
 double expectedShardCost(const PlanShard &shard);
-
-/**
- * @return whether every job of `shard` would be served entirely
- *         from `cache` (seeds resolved exactly as a runner would).
- *         Probing is honest but not free: it generates each
- *         workload's trace to compute the cache key, so campaigns
- *         enable it explicitly (--cost-probe) when a warm cache
- *         makes hit-first scheduling worth that one-off cost.
- */
-bool shardFullyCached(const PlanShard &shard, ResultCache &cache);
 
 /** Coordinator-side campaign options. */
 struct DispatchOptions
@@ -212,11 +199,6 @@ struct DispatchOptions
      * the directory to record and restore through.
      */
     std::string checkpointDir;
-    /**
-     * Cost-model cache probe (not owned, may be nullptr): when set,
-     * shards whose every job hits this cache are scheduled first.
-     */
-    ResultCache *probeCache = nullptr;
     /** Emit one progress() line per campaign event. */
     bool progress = false;
     /** Keep a coordinator-created temp spool for post-mortems. */
@@ -264,16 +246,19 @@ struct DispatchRunnerOptions
     bool progress = false;
     /**
      * Execution environment of claimed tasks (threads, cache,
-     * checkpoint store); slice expansion is always off.
+     * checkpoint store); each task says whether to record
+     * timelines.
      */
     BatchOptions batch;
 };
 
 /**
  * The runner main loop: heartbeat, claim queued tasks in schedule
- * order, execute each through runWorkerShard (appending to the
- * task's result stream), move finished tasks to done/, and exit
- * once the stop file appears.
+ * order, run each task's shard through a BatchRunner (shardPlan()
+ * resolves the parent plan's seeds), append every result to the
+ * task's stream under its parent-plan index, move finished tasks to
+ * done/, and exit once the stop file appears. A damaged task file
+ * raises IoError, ending the runner; its claimed work is stolen.
  *
  * @return the number of tasks executed
  */

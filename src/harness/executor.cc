@@ -37,9 +37,8 @@ Executor::resolveTrace(const JobSpec &job) const
 void
 Executor::reportCacheStats() const
 {
-    // A campaign's cache lives in its runners; a coordinator-side
-    // probe cache would only report its own existence checks.
-    if (!campaign_ && cache_)
+    // A campaign's cache lives in its runners, which report it.
+    if (cache_)
         progress(cache_->statsLine());
 }
 
@@ -84,28 +83,20 @@ executorFromCli(const CliArgs &args)
     d.localRunners = runners;
     d.runnerBinary = args.getString("runner-bin", "");
     d.jobsPerRunner = batch.jobs;
-    d.cacheDir = args.getString(kCacheDirOption, "");
-    d.cacheMode = args.getString(kCacheModeOption,
-                                 d.cacheDir.empty() ? "off" : "rw");
-    if (d.cacheMode == "off")
-        d.cacheDir.clear();
+    // Parsed here, not by the runners: a bad flag fails the campaign
+    // before any runner spawns.
+    if (const std::optional<ResultCacheOptions> cache =
+            resultCacheOptionsFromCli(args)) {
+        d.cacheDir = cache->dir;
+        d.cacheMode = cache->mode == CacheMode::ReadOnly ? "ro" : "rw";
+    }
     d.checkpointDir = args.getString(kCheckpointDirOption, "");
     d.progress = true;
     d.keepSpool = args.has("keep-spool");
     // Trace sinks live on the coordinator; the tasks only carry the
     // "record timelines" bit to the runners.
     d.collectTimelines = batch.collectTimelines;
-
-    std::unique_ptr<ResultCache> probe;
-    if (args.has("cost-probe")) {
-        if (d.cacheDir.empty())
-            fatal("--cost-probe needs a result cache (--%s) to probe",
-                  kCacheDirOption);
-        probe = resultCacheFromCli(args);
-        d.probeCache = probe.get();
-    }
-    return std::make_unique<Executor>(batch, std::move(d),
-                                      std::move(probe));
+    return std::make_unique<Executor>(batch, std::move(d));
 }
 
 void

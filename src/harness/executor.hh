@@ -44,8 +44,8 @@ class Executor
     /**
      * @param batch       the in-process execution environment
      * @param campaign    when set, run() dispatches with these options
-     * @param cache       owned store behind batch.cache or
-     *                    campaign->probeCache (may be null)
+     * @param cache       owned store behind batch.cache (may be
+     *                    null)
      * @param checkpoints owned store behind batch.checkpoints (may be
      *                    null)
      */
@@ -87,12 +87,13 @@ class Executor
  * (kWorkersOption) or `--runners=N` gives N local runners; either
  * that or `--spool=DIR` selects a campaign, configured from
  * `--shards`, `--max-retries`, `--heartbeat`, `--dead-after`,
- * `--stalled-after`, `--runner-bin`, `--cost-probe` and
- * `--keep-spool`, with `--jobs`, the result-cache options and
- * `--checkpoint-dir` forwarded to the runners. Otherwise the plan
- * runs in-process on `--jobs` threads. `--trace-out`/`--trace-stats`
- * turn timeline collection on either way. Options a binary does not
- * list are simply absent.
+ * `--stalled-after`, `--runner-bin` and `--keep-spool`, with
+ * `--jobs`, the result-cache options and `--checkpoint-dir`
+ * forwarded to the runners. Otherwise the plan runs in-process on
+ * `--jobs` threads. Either way the cache options are validated here,
+ * by resultCacheOptionsFromCli(), and `--trace-out`/`--trace-stats`
+ * turn timeline collection on. Options a binary does not list are
+ * simply absent.
  */
 std::unique_ptr<Executor> executorFromCli(const CliArgs &args);
 

@@ -200,9 +200,11 @@ expandCheckpointSlices(const ExperimentPlan &plan,
  * set: sampled jobs with recorded checkpoints split into at most
  * `maxSlices` slices each, `run` executes the expanded plan, and a
  * SliceMergingSink hands `sink` the original plan's result stream.
- * The one place expansion happens — BatchRunner for in-process runs,
- * the dispatch coordinator for campaigns, whose runners never
- * re-expand (a task must publish exactly its own jobs).
+ * BatchRunner::run expands through here, and so does the dispatch
+ * coordinator, before sharding, so one job's slices spread across
+ * the fleet. A runner's BatchRunner passes those slices through
+ * unexpanded and merges any job it does expand back into one result,
+ * so each task still publishes exactly one result per job.
  *
  * @param announce emit a progress() line when jobs were sliced
  */

@@ -615,8 +615,8 @@ ResultCache::statsLine() const
         static_cast<unsigned long long>(totalBytes_));
 }
 
-std::unique_ptr<ResultCache>
-resultCacheFromCli(const CliArgs &args)
+std::optional<ResultCacheOptions>
+resultCacheOptionsFromCli(const CliArgs &args)
 {
     const std::string dir = args.getString(kCacheDirOption, "");
     const std::string modeStr = args.getString(
@@ -636,7 +636,7 @@ resultCacheFromCli(const CliArgs &args)
         if (!dir.empty() && args.has(kCacheModeOption))
             warn("--%s given but --%s=off: caching disabled",
                  kCacheDirOption, kCacheModeOption);
-        return nullptr;
+        return std::nullopt;
     }
     if (dir.empty())
         fatal("--%s=%s needs --%s=DIR", kCacheModeOption,
@@ -645,7 +645,15 @@ resultCacheFromCli(const CliArgs &args)
     ResultCacheOptions o;
     o.dir = dir;
     o.mode = mode;
-    return std::make_unique<ResultCache>(std::move(o));
+    return o;
+}
+
+std::unique_ptr<ResultCache>
+resultCacheFromCli(const CliArgs &args)
+{
+    std::optional<ResultCacheOptions> o =
+        resultCacheOptionsFromCli(args);
+    return o ? std::make_unique<ResultCache>(std::move(*o)) : nullptr;
 }
 
 std::unique_ptr<ResultCache>

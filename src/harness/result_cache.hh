@@ -289,13 +289,22 @@ class ResultCache
 };
 
 /**
- * Build a ResultCache from `--cache-dir=DIR` / `--cache={off,ro,rw}`
- * (common/cli option names kCacheDirOption / kCacheModeOption).
+ * Parse `--cache-dir=DIR` / `--cache={off,ro,rw}` (common/cli option
+ * names kCacheDirOption / kCacheModeOption) — the one reading of the
+ * cache flags, for in-process runs and campaigns alike.
  *
  * `--cache` defaults to `rw` when a directory is given and `off`
- * otherwise; `--cache=ro|rw` without a directory is a usage error.
+ * otherwise; an unknown mode, or `--cache=ro|rw` without a
+ * directory, is a usage error (fatal).
  *
- * @return the cache, or nullptr when caching is off
+ * @return the directory and mode, or std::nullopt when caching is off
+ */
+std::optional<ResultCacheOptions>
+resultCacheOptionsFromCli(const CliArgs &args);
+
+/**
+ * @return the ResultCache resultCacheOptionsFromCli() describes, or
+ *         nullptr when caching is off
  */
 std::unique_ptr<ResultCache> resultCacheFromCli(const CliArgs &args);
 

@@ -3,7 +3,9 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/binary_io.hh"
 #include "common/logging.hh"
+#include "sim/result_io.hh"
 
 namespace tp::harness {
 
@@ -102,7 +104,61 @@ summaryRow(const BatchResult &r)
             fmtDouble(r.hostSeconds, 2)};
 }
 
+/** A presence flag, then `v`'s fields (`declare(*v)`) when present. */
+template <typename T, typename Declare>
+void
+optionalFields(StateIo &io, std::optional<T> &v, Declare &&declare)
+{
+    bool present = v.has_value();
+    io.flag(present);
+    if (present) {
+        if (io.loading())
+            v.emplace();
+        declare(*v);
+    }
+}
+
+/** The one field list of a BatchResult, for both directions. */
+void
+fields(StateIo &io, BatchResult &r)
+{
+    io.pod<std::uint64_t>(r.index);
+    io.str(r.label);
+    optionalFields(io, r.sampled,
+                   [&io](SampledOutcome &o) { sim::fields(io, o); });
+    optionalFields(io, r.reference,
+                   [&io](sim::SimResult &res) { sim::fields(io, res); });
+    optionalFields(io, r.comparison, [&io](ErrorSpeedup &c) {
+        io.pod(c.errorPct);
+        io.pod(c.wallSpeedup);
+        io.pod(c.detailFraction);
+    });
+    io.flag(r.referenceFromCache);
+    io.flag(r.sampledFromCache);
+    io.pod(r.hostSeconds);
+    optionalFields(io, r.timeline,
+                   [&io](sim::JobTimeline &t) { sim::fields(io, t); });
+}
+
 } // namespace
+
+void
+serializeBatchResult(const BatchResult &r, std::ostream &out)
+{
+    BinaryWriter w(out);
+    StateIo io(w);
+    fields(io, const_cast<BatchResult &>(r));
+}
+
+BatchResult
+deserializeBatchResult(std::istream &in, const std::string &name)
+{
+    BinaryReader r(in, name);
+    StateIo io(r);
+    BatchResult res;
+    fields(io, res);
+    return res;
+}
 
 TableSink::TableSink(const std::string &title, bool printAtEnd)
     : table_(title), printAtEnd_(printAtEnd)
@@ -309,28 +365,6 @@ ResultMerger::finish()
 {
     tp_assert(complete());
     sink_.end();
-}
-
-TextTable
-batchSummaryTable(const std::string &title,
-                  const std::vector<BatchResult> &results)
-{
-    TextTable t(title);
-    t.setHeader(kSummaryHeader);
-    for (const BatchResult &r : results)
-        t.addRow(summaryRow(r));
-    return t;
-}
-
-RunningStats
-batchErrorStats(const std::vector<BatchResult> &results)
-{
-    RunningStats stats;
-    for (const BatchResult &r : results) {
-        if (r.comparison)
-            stats.add(r.comparison->errorPct);
-    }
-    return stats;
 }
 
 } // namespace tp::harness

@@ -64,6 +64,25 @@ struct BatchResult
     std::optional<sim::JobTimeline> timeline;
 };
 
+/**
+ * Write one BatchResult (payload only, no framing): the payload of
+ * every envelope a dispatch runner appends to its task's result
+ * stream. Every field — including the optional reference, sampled
+ * outcome and comparison — round-trips bit-identically, so a result
+ * shipped from a runner is indistinguishable from one computed
+ * in-process.
+ */
+void serializeBatchResult(const BatchResult &r, std::ostream &out);
+
+/**
+ * Read a BatchResult back; exact inverse of serializeBatchResult.
+ *
+ * @param name label for error messages
+ * @throws IoError on truncation or corrupt fields
+ */
+BatchResult deserializeBatchResult(std::istream &in,
+                                   const std::string &name);
+
 /** See file comment. */
 class ResultSink
 {
@@ -303,16 +322,6 @@ class ResultMerger
     std::size_t nextDeliver_ = 0;
     std::size_t delivered_ = 0;
 };
-
-/**
- * Render a batch as a TextTable (the TableSink format, for drivers
- * that already hold a result vector).
- */
-TextTable batchSummaryTable(const std::string &title,
-                            const std::vector<BatchResult> &results);
-
-/** Accumulate errorPct of all Both-mode results (common/statistics). */
-RunningStats batchErrorStats(const std::vector<BatchResult> &results);
 
 // Helpers shared by the file-writing sinks here and in
 // harness/trace_report.

@@ -149,33 +149,6 @@ writeEnvelope(std::ostream &out, const std::string &payload)
     w.pod(checksum64(payload.data(), payload.size()));
 }
 
-std::string
-readEnvelope(std::istream &in, const std::string &name)
-{
-    BinaryReader r(in, name);
-    if (r.pod<std::uint64_t>() != kEnvelopeMagic)
-        throwIoError("'%s': not a result envelope", name.c_str());
-    if (r.pod<std::uint32_t>() != kEnvelopeFormatVersion)
-        throwIoError("'%s': unsupported envelope version",
-                     name.c_str());
-    const auto len = r.pod<std::uint64_t>();
-    // Bound the allocation by what the stream can actually hold so a
-    // corrupt length fails fast instead of attempting gigabytes.
-    if (len > r.remainingBytes())
-        throwIoError("'%s': corrupt envelope payload length",
-                     name.c_str());
-    std::string payload(static_cast<std::size_t>(len), '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(len));
-    if (!in)
-        throwIoError("'%s': file truncated", name.c_str());
-    const std::uint64_t checksum = r.pod<std::uint64_t>();
-    r.expectEof();
-    if (checksum != checksum64(payload.data(), payload.size()))
-        throwIoError("'%s': envelope checksum mismatch",
-                     name.c_str());
-    return payload;
-}
-
 EnvelopeStreamReader::EnvelopeStreamReader(std::string path)
     : path_(std::move(path))
 {

@@ -88,24 +88,14 @@ inline constexpr std::uint32_t kEnvelopeFormatVersion = 2;
 /**
  * Wrap `payload` in the shared result envelope: magic, envelope
  * version, 64-bit payload length, the payload bytes, and a
- * checksum64 of the payload. This is the framing of every result file
- * shipped between processes (harness/worker result files); combined
- * with write-to-temp + atomic-rename publish, a reader either sees a
- * complete, checksum-verified payload or a recoverable IoError —
- * never silently truncated data.
+ * checksum64 of the payload. This is the framing of the result
+ * streams dispatch runners ship to the coordinator: a runner appends
+ * one envelope per finished job and flushes, and the coordinator's
+ * EnvelopeStreamReader sees either complete, checksum-verified
+ * payloads, an incomplete tail it leaves for the next poll, or a
+ * recoverable IoError — never silently truncated data.
  */
 void writeEnvelope(std::ostream &out, const std::string &payload);
-
-/**
- * Read one envelope back and verify it.
- *
- * @param name label for error messages (usually the file path)
- * @return the verified payload bytes
- * @throws IoError on bad magic/version, truncation, a payload length
- *         beyond the remaining stream, trailing bytes, or a checksum
- *         mismatch
- */
-std::string readEnvelope(std::istream &in, const std::string &name);
 
 /**
  * Incremental reader over a *live* stream of concatenated envelopes.

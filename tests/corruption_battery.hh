@@ -3,18 +3,18 @@
  * Shared corruption batteries for serialized-artifact tests.
  *
  * Every durable format in the tree (trace files, result-cache
- * entries, checkpoints, worker result envelopes, plan shards, fault
- * plans) owes its readers the same promise: systematically damaged
- * bytes are rejected with a recoverable error — or, for formats
- * whose unit of damage is an entry, read as absence — and never
- * crash, hang, or silently decode to the wrong value. These helpers
+ * entries, checkpoints, plan shards, fault plans) owes its readers
+ * the same promise: systematically damaged bytes are rejected with a
+ * recoverable error — or, for formats whose unit of damage is an
+ * entry, read as absence — and never crash, hang, or silently decode
+ * to the wrong value. These helpers
  * sweep the two canonical damage families (every-prefix truncation
  * and single-bit flips) so each format's test states its contract in
  * one line instead of re-growing its own copy of the loops.
  *
  * Three contracts, strongest first:
  *  - *Throw*: every damaged input raises SimError/IoError
- *    (checksummed envelopes: checkpoints, result envelopes).
+ *    (checksummed envelopes such as checkpoints).
  *  - *Handled*: every damaged input either raises SimError or
  *    decodes; a decode callback that also verifies faithfulness
  *    turns this into "never silently wrong" (length-framed formats

@@ -8,11 +8,12 @@
 #     shard tasks; the deterministic CSV columns must be
 #     byte-identical and the spool must hold O(tasks) result
 #     streams, not O(jobs) files.
-#  3. The campaign runs again with the TASKPOINT_WORKER_KILL_ONCE
-#     hook making exactly one runner SIGKILL itself after its first
-#     published result: the coordinator must detect the death, steal
-#     and re-split the dead runner's remaining jobs, and the report
-#     must still be byte-identical.
+#  3. The campaign runs again with a fault plan (`once` marker +
+#     `on worker.stream.append 1 abort`) making exactly one runner
+#     SIGKILL itself after its first published result: the
+#     coordinator must detect the death, steal and re-split the dead
+#     runner's remaining jobs, and the report must still be
+#     byte-identical.
 #
 # Usage: dispatch_smoke.sh <fig-driver> <replay-plan>
 #                          <taskpoint-dispatch>
@@ -55,12 +56,17 @@ test "$streams" -eq 3 # one stream per shard task, not per job
 # 2. Kill one runner mid-shard: its remaining jobs must be stolen
 # into a next-generation task and the report must not change by a
 # byte.
-TASKPOINT_WORKER_KILL_ONCE="$work/kill.marker" \
-    "$dispatch" --plan="$work/fig.tpplan" --spool="$work/spool" \
+cat >"$work/kill.plan" <<EOF
+taskpoint-fault-plan v1
+once $work/kill.marker
+on worker.stream.append 1 abort
+EOF
+"$dispatch" --plan="$work/fig.tpplan" --spool="$work/spool" \
     --runners=3 --shards=3 --dead-after=800 \
+    --fault-plan="$work/kill.plan" \
     >"$work/killed.txt" 2>"$work/killed.err" \
     --csv="$work/killed.csv"
-test -f "$work/kill.marker"      # the hook actually fired
+test -f "$work/kill.marker.worker.stream.append.1" # the kill fired
 grep -q "died" "$work/killed.err"
 grep -q "stole" "$work/killed.err"
 

@@ -2,9 +2,10 @@
  * @file
  * Tests of the plan-driven experiment runner: ordered streaming
  * delivery to sinks, per-job deterministic seeding, trace
- * memoization across jobs and trace sources, exception propagation,
- * sink composition, and — the contract the whole design rests on —
- * bit-identical reported statistics for any worker count.
+ * memoization across jobs and trace sources (and which traces a run
+ * retains), exception propagation, sink composition, and — the
+ * contract the whole design rests on — bit-identical reported
+ * statistics for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -249,6 +250,45 @@ TEST(BatchRunner, ResolveTraceMemoizesPerSource)
         << "a different seed is a different source";
 }
 
+TEST(BatchRunner, RetainsOnlyTracesSeveralJobsOfARunName)
+{
+    // Trace-file sources make retention observable: once the files
+    // are gone, only a retained trace can still be served.
+    const trace::TaskTrace t =
+        work::generateWorkload("histogram", tinyScale());
+    const fs::path dir = testing::TempDir();
+    const fs::path shared = dir / "tp_batch_runner_retained.trace";
+    const fs::path single = dir / "tp_batch_runner_single.trace";
+    trace::serializeTrace(t, shared.string());
+    trace::serializeTrace(t, single.string());
+
+    const auto job = [](const fs::path &file) {
+        JobSpec j;
+        j.label = file.filename().string();
+        j.traceFile = file.string();
+        j.spec.arch = cpu::highPerformanceConfig();
+        j.spec.threads = 8;
+        j.sampling = sampling::SamplingParams::lazy();
+        return j;
+    };
+    ExperimentPlan plan;
+    plan.jobs = {job(shared), job(shared), job(single)};
+    BatchOptions opts;
+    opts.jobs = 2;
+    const BatchRunner runner(opts);
+    EXPECT_EQ(runner.run(plan).size(), 3u);
+    fs::remove(shared);
+    fs::remove(single);
+
+    // Two jobs named it: retained, and reused by a later run even
+    // though only one job of that run names it.
+    plan.jobs = {job(shared)};
+    EXPECT_EQ(runner.run(plan).size(), 1u);
+    // One job named it: not retained, so it must be loaded again.
+    plan.jobs = {job(single)};
+    EXPECT_THROW((void)runner.run(plan), IoError);
+}
+
 TEST(BatchRunner, DerivedSeedsChangeWithBaseSeed)
 {
     JobSpec j;
@@ -412,12 +452,14 @@ TEST(BatchRunner, TeeAndStatsSinksComposeOverOnePass)
                     fingerprint(second.results()[i].sampled->result));
     }
 
-    // The streaming stats equal the collected-vector helper.
-    const RunningStats collected =
-        batchErrorStats(first.results());
-    EXPECT_EQ(stats.errorStats().count(), collected.count());
-    EXPECT_EQ(stats.errorStats().mean(), collected.mean());
-    EXPECT_EQ(stats.errorStats().max(), collected.max());
+    // The streaming stats equal a StatsSink fed the collected vector.
+    StatsSink collected;
+    for (BatchResult r : first.results())
+        collected.consume(std::move(r));
+    EXPECT_EQ(stats.errorStats().count(),
+              collected.errorStats().count());
+    EXPECT_EQ(stats.errorStats().mean(), collected.errorStats().mean());
+    EXPECT_EQ(stats.errorStats().max(), collected.errorStats().max());
 }
 
 TEST(BatchRunner, SummaryTableAndErrorStats)
@@ -426,18 +468,22 @@ TEST(BatchRunner, SummaryTableAndErrorStats)
     opts.jobs = 4;
     const ExperimentPlan plan = smallPlan();
 
-    // Streamed table rows must equal the collected-vector helper.
+    // Streamed table rows must equal a TableSink fed the collected
+    // vector.
     TableSink streamed("t", /*printAtEnd=*/false);
+    StatsSink stats;
     CollectingSink collected;
-    TeeSink tee({&streamed, &collected});
+    TeeSink tee({&streamed, &stats, &collected});
     BatchRunner(opts).run(plan, tee);
 
-    const RunningStats err = batchErrorStats(collected.results());
+    const RunningStats &err = stats.errorStats();
     EXPECT_EQ(err.count(), plan.jobs.size());
     EXPECT_GE(err.min(), 0.0);
 
-    const std::string rendered =
-        batchSummaryTable("t", collected.results()).render();
+    TableSink replayed("t", /*printAtEnd=*/false);
+    for (BatchResult r : collected.results())
+        replayed.consume(std::move(r));
+    const std::string rendered = replayed.table().render();
     EXPECT_EQ(rendered, streamed.table().render());
     for (const BatchResult &r : collected.results())
         EXPECT_NE(rendered.find(r.label), std::string::npos);

@@ -452,7 +452,6 @@ expectSlicedRunsMatchSerial(const ExperimentPlan &plan,
     // result stream.
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 4;
     sliced.jobs = 4;
     CollectingSink merged;
     runPlan(plan, sliced, merged);
@@ -738,7 +737,7 @@ TEST(CheckpointRoundTrip, BothModeRecomputesComparisonExactly)
 
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 3;
+    sliced.jobs = 3;
     CollectingSink merged;
     runPlan(plan, sliced, merged);
 
@@ -790,7 +789,7 @@ TEST(CheckpointRoundTrip, DamagedStoreDegradesToColdReplay)
 
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 3;
+    sliced.jobs = 3;
     CollectingSink merged;
     runPlan(plan, sliced, merged);
     EXPECT_EQ(outcomeBytes(merged.results()[0]),
@@ -839,7 +838,7 @@ TEST(CheckpointRoundTrip, OlderFormatStoreIsReRecordedOnce)
 
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 3;
+    sliced.jobs = 3;
     CollectingSink skewed;
     runPlan(plan, sliced, skewed);
     EXPECT_EQ(outcomeBytes(skewed.results()[0]),

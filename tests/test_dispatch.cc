@@ -27,7 +27,7 @@
 #include "common/cli.hh"
 #include "harness/batch_runner.hh"
 #include "harness/dispatch.hh"
-#include "harness/worker.hh"
+#include "harness/result_sink.hh"
 #include "sim/result_io.hh"
 
 namespace tp::harness {
@@ -507,17 +507,27 @@ TEST_F(DispatchE2E, TornFinalEnvelopeIsStolenAtOnce)
     std::size_t published = 0;
     auto tornAt = std::chrono::steady_clock::now();
     if (!task.empty()) {
-        WorkerOptions wo;
-        wo.shardPath = spool.claimedFile("torn", task);
-        wo.outDir = (spoolDir / "private").string();
-        wo.streamName = task + ".tprs";
-        published = runWorkerShard(wo);
+        // Run the shard as a runner does, appending one envelope per
+        // result (under its plan index) to a private stream.
+        const std::string claim = spool.claimedFile("torn", task);
+        const PlanShard shard = deserializeShard(claim);
+        const fs::path stream = spoolDir / "private.tprs";
+        {
+            std::ofstream out(stream, std::ios::binary);
+            for (BatchResult &r : BatchRunner().run(shardPlan(shard))) {
+                r.index = static_cast<std::size_t>(
+                    shard.jobs[r.index].planIndex);
+                std::ostringstream payload(std::ios::binary);
+                serializeBatchResult(r, payload);
+                sim::writeEnvelope(out, payload.str());
+                ++published;
+            }
+        }
         // Cut the final envelope short, publish the stream whole (so
         // the coordinator never sees it intact), then report done.
-        const fs::path stream = fs::path(wo.outDir) / wo.streamName;
         fs::resize_file(stream, fs::file_size(stream) - 5);
         fs::rename(stream, spool.streamFile(task));
-        fs::rename(wo.shardPath, spool.doneFile(task));
+        fs::rename(claim, spool.doneFile(task));
         tornAt = std::chrono::steady_clock::now();
     }
 

@@ -36,7 +36,7 @@
 #include "harness/batch_runner.hh"
 #include "harness/plan_shard.hh"
 #include "harness/result_cache.hh"
-#include "harness/worker.hh"
+#include "harness/result_sink.hh"
 #include "sim/result_io.hh"
 #include "trace/trace_io.hh"
 

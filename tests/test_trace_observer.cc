@@ -13,8 +13,8 @@
 #include "common/binary_io.hh"
 #include "harness/batch_runner.hh"
 #include "harness/experiment.hh"
+#include "harness/result_sink.hh"
 #include "harness/trace_report.hh"
-#include "harness/worker.hh"
 #include "sampling/taskpoint.hh"
 #include "sim/trace_observer.hh"
 #include "workloads/workloads.hh"

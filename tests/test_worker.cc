@@ -1,28 +1,28 @@
 /**
  * @file
- * Tests of the multi-process result transport and executor: the
- * checksummed result envelope rejects truncated and bit-flipped
- * bytes with recoverable IoError, BatchResults round-trip
- * bit-identically through the wire format, and a local campaign of
- * spawned runners (`--workers`) delivers the same ordered result
- * stream as in-process execution — including with a runner killed
- * mid-task, for an empty plan, and with a runner binary that can
- * never succeed; executorFromCli() maps the CLI onto it.
+ * Tests of the multi-process result transport and executor: result
+ * envelopes round-trip through the stream reader, BatchResults
+ * round-trip bit-identically through the wire format, and a local
+ * campaign of spawned runners (`--workers`) delivers the same
+ * ordered result stream as in-process execution — including with a
+ * runner killed mid-task, for an empty plan, and with a runner
+ * binary that can never succeed; executorFromCli() maps the CLI onto
+ * it and validates the cache flags for both executors alike.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/binary_io.hh"
 #include "common/cli.hh"
 #include "common/fault_injection.hh"
-#include "corruption_battery.hh"
 #include "harness/batch_runner.hh"
 #include "harness/executor.hh"
-#include "harness/worker.hh"
+#include "harness/result_sink.hh"
 #include "sim/result_io.hh"
 
 namespace tp::harness {
@@ -68,45 +68,21 @@ resultBytes(const BatchResult &r)
 
 TEST(ResultEnvelope, RoundTripsArbitraryPayloads)
 {
-    for (const std::string &payload :
-         {std::string(), std::string("x"),
-          std::string(100000, '\xab'),
-          std::string("binary\0bytes\xff", 13)}) {
-        std::ostringstream out(std::ios::binary);
-        sim::writeEnvelope(out, payload);
-        std::istringstream in(out.str(), std::ios::binary);
-        EXPECT_EQ(sim::readEnvelope(in, "mem"), payload);
+    const std::vector<std::string> payloads = {
+        std::string(), std::string("x"), std::string(100000, '\xab'),
+        std::string("binary\0bytes\xff", 13)};
+    const fs::path path =
+        fs::path(testing::TempDir()) / "tp_envelope_roundtrip.tprs";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        for (const std::string &payload : payloads)
+            sim::writeEnvelope(out, payload);
     }
-}
-
-TEST(ResultEnvelope, TruncationRaisesRecoverableIoError)
-{
-    std::ostringstream out(std::ios::binary);
-    sim::writeEnvelope(out, "the payload under test");
-    test::expectTruncationsThrow<IoError>(
-        out.str(), [](const std::string &bad) {
-            std::istringstream in(bad, std::ios::binary);
-            (void)sim::readEnvelope(in, "trunc");
-        });
-}
-
-TEST(ResultEnvelope, BitFlipsAnywhereRaiseIoError)
-{
-    std::ostringstream out(std::ios::binary);
-    sim::writeEnvelope(out, "checksummed payload bytes here");
-    test::expectBitFlipsThrow<IoError>(
-        out.str(), [](const std::string &bad) {
-            std::istringstream in(bad, std::ios::binary);
-            (void)sim::readEnvelope(in, "flip");
-        });
-}
-
-TEST(ResultEnvelope, TrailingBytesRaiseIoError)
-{
-    std::ostringstream out(std::ios::binary);
-    sim::writeEnvelope(out, "payload");
-    std::istringstream in(out.str() + "x", std::ios::binary);
-    EXPECT_THROW((void)sim::readEnvelope(in, "trail"), IoError);
+    sim::EnvelopeStreamReader reader(path.string());
+    std::vector<std::string> back;
+    EXPECT_EQ(reader.poll(back), payloads.size());
+    EXPECT_EQ(back, payloads);
+    fs::remove(path);
 }
 
 TEST(WorkerTransport, BatchResultRoundTripsBitIdentically)
@@ -218,14 +194,21 @@ TEST_F(LocalCampaignE2E, EmptyPlanCompletesWithoutRunners)
 
 TEST_F(LocalCampaignE2E, SurvivesRunnerKilledMidTask)
 {
-    // The kill-once hook makes exactly one runner SIGKILL itself
-    // after its first publish; the coordinator must steal that
-    // runner's remaining jobs and still deliver the full, identical,
-    // ordered result set.
+    // A fault plan, inherited by the spawned runners, makes exactly
+    // one runner SIGKILL itself after its first publish; the
+    // coordinator must steal that runner's remaining jobs and still
+    // deliver the full, identical, ordered result set.
+    const fs::path dir = testing::TempDir();
+    const fs::path faultPlan = dir / "tp_campaign_kill_once.plan";
+    const fs::path prefix = dir / "tp_campaign_kill_once";
     const fs::path marker =
-        fs::path(testing::TempDir()) / "tp_campaign_kill_once";
+        prefix.string() + ".worker.stream.append.1";
     fs::remove(marker);
-    ASSERT_EQ(setenv(kKillOnceEnvVar, marker.c_str(), 1), 0);
+    std::ofstream(faultPlan) << "taskpoint-fault-plan v1\n"
+                             << "once " << prefix.string() << "\n"
+                             << "on worker.stream.append 1 abort\n";
+    ASSERT_EQ(setenv(fault::kFaultPlanEnvVar, faultPlan.c_str(), 1),
+              0);
 
     const ExperimentPlan plan = smallPlan(6);
     DispatchOptions o = localRunners(2);
@@ -233,10 +216,11 @@ TEST_F(LocalCampaignE2E, SurvivesRunnerKilledMidTask)
     CollectingSink sink;
     runDispatchCampaign(plan, o, sink);
 
-    unsetenv(kKillOnceEnvVar);
+    unsetenv(fault::kFaultPlanEnvVar);
     EXPECT_TRUE(fs::exists(marker))
-        << "the kill hook must actually have fired";
+        << "the kill must actually have fired";
     fs::remove(marker);
+    fs::remove(faultPlan);
 
     const std::vector<BatchResult> reference =
         BatchRunner(BatchOptions{}).run(plan);
@@ -302,6 +286,32 @@ TEST(ExecutorCli, SelectsCampaignFromFlags)
     EXPECT_FALSE(
         executorFromCli(CliArgs(2, off, options))->campaign())
         << "--workers=0 must mean in-process";
+}
+
+TEST(ExecutorCli, BadCacheFlagsFailAtOnceForBothExecutors)
+{
+    const std::vector<CliOption> options = {
+        workersCliOption(), cacheDirCliOption(), cacheModeCliOption()};
+    // @return the usage error executorFromCli raised, or "" if none.
+    const auto usageError = [&](std::vector<const char *> argv) {
+        try {
+            (void)executorFromCli(CliArgs(
+                static_cast<int>(argv.size()), argv.data(), options));
+        } catch (const SimError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    for (const char *workers : {"--workers=0", "--workers=2"}) {
+        SCOPED_TRACE(workers);
+        EXPECT_NE(usageError({"prog", workers, "--cache=ro"})
+                      .find("needs --cache-dir=DIR"),
+                  std::string::npos);
+        EXPECT_NE(usageError({"prog", workers, "--cache-dir=/tmp/c",
+                              "--cache=bogus"})
+                      .find("expects off, ro or rw"),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -14,13 +14,19 @@
 #     the multi-process trace documents are byte-identical to the
 #     in-process one (timelines ship through the result streams and
 #     merge in submission order).
+#  4. A figure driver running two plans into one document
+#     (fig06_sensitivity: references, then a sweep) numbers its jobs
+#     run-wide: one process name per trace pid, one stats row per
+#     (job, core).
 #
-# Usage: trace_smoke.sh <replay-plan-binary> <dispatch-binary> <golden-dir>
+# Usage: trace_smoke.sh <replay-plan-binary> <dispatch-binary>
+#                       <golden-dir> <fig06-binary>
 set -euo pipefail
 
 replay="$1"
 dispatch="$2"
 golden_dir="$3"
+fig06="$4"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -94,5 +100,17 @@ diff -u "$golden" "$work/dispatch.stripped.csv"
 cmp "$work/trace.json" "$work/dispatch.json"
 cmp "$work/stats.csv" "$work/dispatch-stats.csv"
 json_check "$work/dispatch.json"
+
+# --- 6. multi-plan figure driver: jobs numbered run-wide ----------
+"$fig06" --scale=0.005 --instr-scale=0.05 \
+    --trace-out="$work/fig06.json" \
+    --trace-stats="$work/fig06-stats.csv" >"$work/fig06.out" 2>&1
+json_check "$work/fig06.json"
+grep '"ph":"M"' "$work/fig06.json" | grep '"name":"process_name"' |
+    sed -E 's/.*"pid":([0-9]+),.*/\1/' >"$work/fig06.pids"
+test -s "$work/fig06.pids"
+test -z "$(sort "$work/fig06.pids" | uniq -d)" # one name per pid
+test -z "$(tail -n +2 "$work/fig06-stats.csv" | cut -d, -f1,3 |
+    sort | uniq -d)" # one row per (job, core)
 
 echo "trace smoke ok"

@@ -5,11 +5,11 @@
 #     as a local dispatch campaign of three spawned runners
 #     (--workers=3); the deterministic report (everything before the
 #     wall-clock speedup table) must be byte-identical.
-#  2. The first driver runs again with --workers=3 while the
-#     TASKPOINT_WORKER_KILL_ONCE hook makes exactly one runner
-#     SIGKILL itself after its first published result: the
-#     coordinator must log the death and the report must still be
-#     byte-identical.
+#  2. The first driver runs again with --workers=3 while a fault
+#     plan (`once` marker + `on worker.stream.append 1 abort`) makes
+#     exactly one runner SIGKILL itself after its first published
+#     result: the coordinator must log the death and the report must
+#     still be byte-identical.
 #  3. replay_plan executes a saved plan in-process and multi-process
 #     with --csv; the deterministic CSV columns must be identical.
 #
@@ -50,10 +50,14 @@ done
 # 2. Kill one runner mid-run: its unfinished jobs are stolen (when it
 # had any left) and the report must not change by a byte.
 name="$(basename "$fig1")"
-TASKPOINT_WORKER_KILL_ONCE="$work/kill.marker" \
-    "$fig1" "${common[@]}" --workers=3 \
+cat >"$work/kill.plan" <<EOF
+taskpoint-fault-plan v1
+once $work/kill.marker
+on worker.stream.append 1 abort
+EOF
+"$fig1" "${common[@]}" --workers=3 --fault-plan="$work/kill.plan" \
     >"$work/$name.killed.txt" 2>"$work/$name.killed.err"
-test -f "$work/kill.marker" # the hook actually fired
+test -f "$work/kill.marker.worker.stream.append.1" # the kill fired
 grep -q "died" "$work/$name.killed.err"
 det_prefix "$work/$name.killed.txt" >"$work/$name.killed.det"
 diff -u "$work/$name.inproc.det" "$work/$name.killed.det"

@@ -15,8 +15,7 @@
  *                      [--json=FILE] [--trace-out=FILE]
  *                      [--trace-stats=FILE] [--cache-dir=DIR]
  *                      [--cache=off|ro|rw] [--checkpoint-dir=DIR]
- *                      [--fault-plan=FILE] [--cost-probe]
- *                      [--keep-spool]
+ *                      [--fault-plan=FILE] [--keep-spool]
  *
  * Runner: join an existing spool (possibly on another machine via a
  * shared filesystem), claim tasks, execute them, stream results
@@ -135,9 +134,6 @@ main(int argc, char **argv)
               "span in ms after which a claimed task's silent "
               "result stream is declared stalled and its jobs "
               "stolen (default 0 = max(30*dead-after, 60s))"},
-             {"cost-probe",
-              "probe --cache-dir per job and schedule fully "
-              "cache-hit shards first"},
              {"keep-spool",
               "keep a coordinator-created temp spool for "
               "post-mortems"},
