@@ -81,7 +81,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    bench::PlanExecutor runner(opts);
+    harness::Executor &executor = *opts.executor;
 
     // Detailed references per (benchmark, scheduler).
     harness::ExperimentPlan refPlan;
@@ -100,7 +100,7 @@ main(int argc, char **argv)
     }
     harness::progress("computing detailed references");
     const std::vector<harness::BatchResult> refResults =
-        runner.run(refPlan);
+        executor.run(refPlan);
     std::map<std::pair<std::string, rt::SchedulerKind>,
              const sim::SimResult *>
         refs;
@@ -189,15 +189,8 @@ main(int argc, char **argv)
             // as the machine-independent cost.
             const sampling::AdaptiveDiagnostics &d =
                 r.sampled->adaptive;
-            // cutoffStopped with a zero half-width means the CI was
-            // never computable (a stratum stayed under 2 samples).
-            std::string ci = "-";
-            if (d.enabled) {
-                ci = d.cutoffStopped && d.finalRelHalfWidth == 0.0
-                         ? "n/a"
-                         : fmtDouble(100.0 * d.finalRelHalfWidth, 2) +
-                               "%";
-            }
+            const std::string ci =
+                d.enabled ? sampling::reportedCi(d) : "-";
             cells[row].push_back(fmtDouble(es.errorPct, 2) + "% / " +
                                  ci + " / " +
                                  fmtDouble(es.detailFraction, 3));
@@ -206,8 +199,8 @@ main(int argc, char **argv)
                                  fmtDouble(es.wallSpeedup, 1) + "x");
         }
     });
-    runner.run(samPlan, sink);
-    bench::reportCacheStats(opts);
+    executor.run(samPlan, sink);
+    executor.reportCacheStats();
 
     std::vector<std::string> header = {"configuration"};
     for (const auto &n : kBenchmarks)

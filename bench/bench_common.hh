@@ -4,8 +4,9 @@
  *
  * Every figure of the paper's evaluation reduces to: build an
  * ExperimentPlan over the 19 workloads — one self-describing JobSpec
- * per (architecture, thread count, policy) — run it through
- * BatchRunner, and stream the results into the figure's report.
+ * per (architecture, thread count, policy) — run it on the executor
+ * the command line selects (harness::executorFromCli), and stream
+ * the results into the figure's report.
  * Single-batch figures can also save their plan to disk
  * (`--save-plan=FILE`) and replay a saved plan in a fresh process
  * (`--plan=FILE`) with byte-identical deterministic output.
@@ -29,7 +30,6 @@
 #include "harness/executor.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
-#include "harness/trace_report.hh"
 
 namespace tp::bench {
 
@@ -46,7 +46,8 @@ struct FigureOptions
      * in-process on --jobs threads with the --cache-dir and
      * --checkpoint-dir stores, or with --workers=N as a local
      * dispatch campaign — byte-identical deterministic output
-     * either way.
+     * either way. It also owns the --trace-out/--trace-stats
+     * documents, which span every plan the figure runs.
      */
     std::unique_ptr<harness::Executor> executor;
     /** Replay this serialized plan instead of the built one. */
@@ -60,15 +61,6 @@ struct FigureOptions
      * per-run sampling-diagnostics table. 0 = figure default.
      */
     double targetError = 0.0;
-    /**
-     * Execution tracing (--trace-out/--trace-stats): merged Chrome
-     * trace-event JSON and per-core timeline statistics CSV over
-     * every job the figure runs (see harness/trace_report.hh).
-     * Observational only — never part of the plan, never changes a
-     * figure's deterministic output.
-     */
-    std::string traceOut;
-    std::string traceStats;
 };
 
 /** Whether a figure driver supports --plan/--save-plan. */
@@ -152,16 +144,7 @@ parseFigureOptions(int argc, char **argv,
         o.savePlanFile = args.getString("save-plan", "");
     }
     o.targetError = targetErrorFlag(args);
-    o.traceOut = args.getString(kTraceOutOption, "");
-    o.traceStats = args.getString(kTraceStatsOption, "");
     return o;
-}
-
-/** Emit the cache hit/miss summary when a cache is active. */
-inline void
-reportCacheStats(const FigureOptions &opts)
-{
-    opts.executor->reportCacheStats();
 }
 
 /** @return the selected workload names (default: all of Table I). */
@@ -248,132 +231,6 @@ applyPlanOptions(const FigureOptions &opts,
 }
 
 /**
- * Copies each figure result into the executor's trace sinks while
- * forwarding the original to the figure's own sink. Trace-sink
- * begin()/end() are deliberately not forwarded: one executor can run
- * several plans (references, then a sampled sweep) and the merged
- * trace document must span all of them — it is closed when the
- * executor is destroyed. The copies are numbered run-wide (index
- * plus `offset`, the jobs of earlier plans), so no two jobs of the
- * document share a trace process or a stats row.
- */
-class FigureTraceTee final : public harness::ResultSink
-{
-  public:
-    FigureTraceTee(harness::ResultSink &inner,
-                   const std::vector<harness::ResultSink *> &taps,
-                   std::size_t offset)
-        : inner_(&inner), taps_(&taps), offset_(offset)
-    {}
-
-    void
-    begin(std::size_t totalJobs) override
-    {
-        inner_->begin(totalJobs);
-    }
-
-    void
-    consume(harness::BatchResult &&result) override
-    {
-        for (harness::ResultSink *tap : *taps_) {
-            harness::BatchResult copy = result;
-            copy.index += offset_;
-            tap->consume(std::move(copy));
-        }
-        inner_->consume(std::move(result));
-    }
-
-    void end() override { inner_->end(); }
-
-  private:
-    harness::ResultSink *inner_;
-    const std::vector<harness::ResultSink *> *taps_;
-    std::size_t offset_;
-};
-
-/**
- * Executes a figure's plans on the executor its command line chose
- * (FigureOptions::executor).
- *
- * The executor holds one BatchRunner, so a driver running several
- * plans (references, then a sampled sweep) realizes each shared
- * trace once — and resolveTrace() works for structure statistics
- * in-process and under `--workers` alike.
- *
- * `--trace-out`/`--trace-stats` tee every run's results into a
- * ChromeTraceSink / TimelineStatsSink spanning all plans the
- * executor runs, numbered run-wide (see FigureTraceTee); the trace
- * documents close on destruction.
- */
-class PlanExecutor
-{
-  public:
-    explicit PlanExecutor(const FigureOptions &opts)
-        : executor_(*opts.executor)
-    {
-        if (!opts.traceOut.empty()) {
-            traceSinks_.push_back(
-                std::make_unique<harness::ChromeTraceSink>(
-                    opts.traceOut));
-        }
-        if (!opts.traceStats.empty()) {
-            auto stats =
-                std::make_unique<harness::TimelineStatsSink>(
-                    opts.traceStats);
-            // One CSV header for the whole executor, not per plan.
-            stats->begin(0);
-            traceSinks_.push_back(std::move(stats));
-        }
-        for (const auto &sink : traceSinks_)
-            taps_.push_back(sink.get());
-    }
-
-    void
-    run(const harness::ExperimentPlan &plan, harness::ResultSink &sink)
-    {
-        if (taps_.empty()) {
-            executor_.run(plan, sink);
-        } else {
-            FigureTraceTee tee(sink, taps_, traced_);
-            executor_.run(plan, tee);
-            traced_ += plan.jobs.size();
-        }
-    }
-
-    /** Convenience: run `plan` collecting into a vector. */
-    std::vector<harness::BatchResult>
-    run(const harness::ExperimentPlan &plan)
-    {
-        harness::CollectingSink sink;
-        run(plan, sink);
-        return sink.take();
-    }
-
-    /** See BatchRunner::resolveTrace (works in both modes). */
-    std::shared_ptr<const trace::TaskTrace>
-    resolveTrace(const harness::JobSpec &job) const
-    {
-        return executor_.resolveTrace(job);
-    }
-
-  private:
-    const harness::Executor &executor_;
-    std::vector<std::unique_ptr<harness::ResultSink>> traceSinks_;
-    std::vector<harness::ResultSink *> taps_;
-    /** Jobs of the plans already teed into the trace sinks. */
-    std::size_t traced_ = 0;
-};
-
-/** Execute one figure plan (see PlanExecutor). */
-inline void
-runFigurePlan(const FigureOptions &opts,
-              const harness::ExperimentPlan &plan,
-              harness::ResultSink &sink)
-{
-    PlanExecutor(opts).run(plan, sink);
-}
-
-/**
  * One IPC-variation boxplot figure (Figs. 1 and 5 of the paper):
  * one detailed run per benchmark with task records, normalized
  * per-type IPC deviations, and the "box in +-5%" classification.
@@ -433,8 +290,8 @@ runIpcVariationFigure(const std::string &title,
                       fmtDouble(b.whiskerHi, 1),
                       in_band ? "yes" : "NO"});
     });
-    runFigurePlan(opts, plan, sink);
-    reportCacheStats(opts);
+    opts.executor->run(plan, sink);
+    opts.executor->reportCacheStats();
 
     table.print();
     std::printf("\n%d of %d benchmarks within +-5%%%s\n", within,
@@ -527,26 +384,19 @@ runErrorSpeedupFigure(const std::string &title,
             std::uint64_t samples = 0;
             for (std::uint64_t n : d.strataSamples)
                 samples += n;
-            // cutoffStopped with a zero half-width means the CI was
-            // never computable (a stratum stayed under 2 samples).
-            const std::string ci =
-                d.cutoffStopped && d.finalRelHalfWidth == 0.0
-                    ? "n/a"
-                    : fmtDouble(100.0 * d.finalRelHalfWidth, 2) + "%";
             diag.addRow(
                 {r.label, fmtDouble(100.0 * d.targetError, 2) + "%",
-                 ci, fmtDouble(es.errorPct, 2) + "%",
+                 sampling::reportedCi(d),
+                 fmtDouble(es.errorPct, 2) + "%",
                  std::to_string(d.stopCycle),
                  std::to_string(d.allocationRounds),
                  std::to_string(samples),
                  fmtDouble(es.detailFraction, 3),
-                 d.budgetStopped  ? "budget cap"
-                 : d.cutoffStopped ? "rare cutoff"
-                                   : "CI target"});
+                 sampling::stopReason(d)});
         }
     });
-    runFigurePlan(opts, plan, sink);
-    reportCacheStats(opts);
+    opts.executor->run(plan, sink);
+    opts.executor->reportCacheStats();
 
     std::vector<std::string> eavg = {"average"};
     std::vector<std::string> savg = {"average"};

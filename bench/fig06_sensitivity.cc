@@ -56,7 +56,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    bench::PlanExecutor runner(opts);
+    harness::Executor &executor = *opts.executor;
 
     // Shared detailed references: one Reference-mode job per
     // (benchmark, thread count).
@@ -76,7 +76,7 @@ main(int argc, char **argv)
     }
     harness::progress("computing detailed references");
     const std::vector<harness::BatchResult> refResults =
-        runner.run(refPlan);
+        executor.run(refPlan);
 
     // The three parameter sweeps of Fig. 6.
     std::vector<SweepEntry> sweeps;
@@ -131,8 +131,8 @@ main(int argc, char **argv)
         p.spdSum += es.wallSpeedup;
         ++p.n;
     });
-    runner.run(samPlan, sink);
-    bench::reportCacheStats(opts);
+    executor.run(samPlan, sink);
+    executor.reportCacheStats();
 
     const char *titles[3] = {
         "Fig. 6a: error/speedup vs warmup interval W "

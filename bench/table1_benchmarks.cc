@@ -53,10 +53,10 @@ main(int argc, char **argv)
             plan.jobs.push_back(j);
         }
     }
-    bench::PlanExecutor runner(opts);
+    harness::Executor &executor = *opts.executor;
     const std::vector<harness::BatchResult> results =
-        runner.run(plan);
-    bench::reportCacheStats(opts);
+        executor.run(plan);
+    executor.reportCacheStats();
 
     std::size_t idx = 0;
     for (const std::string &name : names) {
@@ -64,7 +64,7 @@ main(int argc, char **argv)
         const sim::SimResult &r1 = *results[idx].reference;
         const sim::SimResult &r64 = *results[idx + 1].reference;
         const trace::TraceStats ts =
-            runner.resolveTrace(plan.jobs[idx])->stats();
+            executor.resolveTrace(plan.jobs[idx])->stats();
         idx += 2;
         tp_assert(ts.numTypes == info.paperTaskTypes);
 

@@ -18,8 +18,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "cpu/arch_config.hh"
-#include "harness/batch_runner.hh"
-#include "harness/result_cache.hh"
+#include "harness/executor.hh"
 
 namespace {
 
@@ -133,11 +132,8 @@ main(int argc, char **argv)
             }
         }
 
-        const std::unique_ptr<harness::ResultCache> cache =
-            harness::resultCacheFromCli(args);
-        harness::BatchOptions bo;
-        bo.jobs = jobsFlag(args, 1);
-        bo.cache = cache.get();
+        const std::unique_ptr<harness::Executor> executor =
+            harness::executorFromCli(args);
 
         // Stream results through composed sinks: the summary table
         // renders row by row while an O(1) stats sink accumulates
@@ -148,9 +144,8 @@ main(int argc, char **argv)
             /*printAtEnd=*/false);
         harness::StatsSink stats;
         harness::TeeSink tee({&table, &stats});
-        harness::BatchRunner(bo).run(plan, tee);
-        if (cache)
-            harness::progress(cache->statsLine());
+        executor->run(plan, tee);
+        executor->reportCacheStats();
 
         table.table().print();
         const RunningStats &err = stats.errorStats();

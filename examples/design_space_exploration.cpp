@@ -27,9 +27,8 @@
 #include "common/logging.hh"
 #include "common/statistics.hh"
 #include "common/table.hh"
-#include "harness/batch_runner.hh"
+#include "harness/executor.hh"
 #include "harness/experiment.hh"
-#include "harness/result_cache.hh"
 
 using namespace tp;
 
@@ -79,16 +78,12 @@ main(int argc, char **argv)
     std::printf("phase 1: lazy sampling over %zu variants of %s "
                 "(%u threads, %zu jobs)\n",
                 plan.jobs.size(), name.c_str(), threads, jobs);
-    harness::BatchOptions opts;
-    opts.jobs = jobs;
     // With a shared cache dir, the lazy sweep itself and any
     // Reference/Both-mode jobs of a campaign reuse prior work.
-    const std::unique_ptr<harness::ResultCache> cache =
-        harness::resultCacheFromCli(args);
-    opts.cache = cache.get();
-    const harness::BatchRunner runner(opts);
+    const std::unique_ptr<harness::Executor> executor =
+        harness::executorFromCli(args);
     const std::vector<harness::BatchResult> results =
-        runner.run(plan);
+        executor->run(plan);
 
     std::vector<std::size_t> ranked(results.size());
     for (std::size_t i = 0; i < ranked.size(); ++i)
@@ -122,9 +117,8 @@ main(int argc, char **argv)
     confirmJob.sampling = sampling::SamplingParams::periodic(250);
     confirmJob.mode = harness::BatchMode::Both;
     const harness::BatchResult confirm =
-        runner.run(confirmPlan).front();
-    if (cache)
-        harness::progress(cache->statsLine());
+        executor->run(confirmPlan).front();
+    executor->reportCacheStats();
 
     const Cycles predicted = best.sampled->result.totalCycles;
     const Cycles periodic = confirm.sampled->result.totalCycles;

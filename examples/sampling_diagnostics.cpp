@@ -145,15 +145,15 @@ main(int argc, char **argv)
     }
     if (sam.adaptive.enabled) {
         const sampling::AdaptiveDiagnostics &d = sam.adaptive;
-        std::printf("adaptive: target %.2f%%, reported CI %.2f%%, "
+        std::printf("adaptive: target %.2f%%, reported CI %s, "
                     "stop cycle %llu, realloc rounds %llu, stopped "
                     "by %s\nper-stratum detailed samples:",
                     100.0 * d.targetError,
-                    100.0 * d.finalRelHalfWidth,
+                    sampling::reportedCi(d).c_str(),
                     static_cast<unsigned long long>(d.stopCycle),
                     static_cast<unsigned long long>(
                         d.allocationRounds),
-                    d.cutoffStopped ? "rare cutoff" : "CI target");
+                    sampling::stopReason(d));
         for (std::size_t ty = 0; ty < d.strataSamples.size(); ++ty) {
             std::printf(" %s=%llu", t.type(ty).name.c_str(),
                         static_cast<unsigned long long>(

@@ -122,7 +122,8 @@ extern const char *const kWorkersOption;
 /**
  * Canonical names of the result-cache options ("cache-dir",
  * "cache"). Drivers that batch simulations list both among their
- * options and build the cache with harness::resultCacheFromCli().
+ * options and build their executor with harness::executorFromCli(),
+ * which opens the cache.
  */
 extern const char *const kCacheDirOption;
 extern const char *const kCacheModeOption;

@@ -89,7 +89,8 @@ struct BatchOptions
     /**
      * Record each job's execution timeline (a TimelineRecorder on
      * the primary run) into BatchResult::timeline for the trace
-     * sinks in harness/trace_report.hh. Purely observational — the
+     * sinks in harness/trace_report.hh (harness::Executor sets it
+     * exactly when it holds them). Purely observational — the
      * deterministic report columns are byte-identical with this on
      * or off. Disables checkpoint-slice expansion (a whole-run
      * timeline cannot be stitched from slices); checkpoint

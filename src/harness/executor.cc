@@ -10,22 +10,116 @@
 
 namespace tp::harness {
 
+namespace {
+
+/** `batch` with timeline recording set to `on`. */
+BatchOptions
+recordingTimelines(BatchOptions batch, bool on)
+{
+    batch.collectTimelines = on;
+    return batch;
+}
+
+/** The trace documents `--trace-out` and `--trace-stats` name. */
+std::vector<std::unique_ptr<ResultSink>>
+traceSinksFromCli(const CliArgs &args)
+{
+    std::vector<std::unique_ptr<ResultSink>> sinks;
+    if (const std::string f = args.getString(kTraceOutOption, "");
+        !f.empty())
+        sinks.push_back(std::make_unique<ChromeTraceSink>(f));
+    if (const std::string f = args.getString(kTraceStatsOption, "");
+        !f.empty())
+        sinks.push_back(std::make_unique<TimelineStatsSink>(f));
+    return sinks;
+}
+
+} // namespace
+
+/**
+ * Forwards one run's results to the caller's sink, teeing a copy of
+ * each into the executor's trace sinks — numbered run-wide — and
+ * counting what was replayed from the cache. The trace sinks'
+ * begin()/end() are the executor's, not the run's.
+ */
+class Executor::Tap final : public ResultSink
+{
+  public:
+    Tap(Executor &executor, ResultSink &inner)
+        : executor_(executor), inner_(inner)
+    {}
+
+    void
+    begin(std::size_t totalJobs) override
+    {
+        inner_.begin(totalJobs);
+    }
+
+    void
+    consume(BatchResult &&result) override
+    {
+        Executor &e = executor_;
+        e.references_ += result.reference ? 1 : 0;
+        e.cachedReferences_ += result.referenceFromCache ? 1 : 0;
+        e.sampled_ += result.sampled ? 1 : 0;
+        e.cachedSampled_ += result.sampledFromCache ? 1 : 0;
+        for (const std::unique_ptr<ResultSink> &trace : e.traceSinks_) {
+            BatchResult copy = result;
+            copy.index += e.jobsRun_;
+            trace->consume(std::move(copy));
+        }
+        inner_.consume(std::move(result));
+    }
+
+    void end() override { inner_.end(); }
+
+  private:
+    Executor &executor_;
+    ResultSink &inner_;
+};
+
 Executor::Executor(BatchOptions batch,
                    std::optional<DispatchOptions> campaign,
                    std::unique_ptr<ResultCache> cache,
-                   std::unique_ptr<ResultCache> checkpoints)
+                   std::unique_ptr<ResultCache> checkpoints,
+                   std::vector<std::unique_ptr<ResultSink>> traceSinks)
     : cache_(std::move(cache)), checkpoints_(std::move(checkpoints)),
-      campaign_(std::move(campaign)), runner_(std::move(batch))
+      traceSinks_(std::move(traceSinks)),
+      campaign_(std::move(campaign)),
+      runner_(recordingTimelines(std::move(batch),
+                                 !traceSinks_.empty()))
 {
+    // Trace sinks live here; the tasks only carry the "record
+    // timelines" bit to the runners.
+    if (campaign_)
+        campaign_->collectTimelines = !traceSinks_.empty();
+    for (const std::unique_ptr<ResultSink> &trace : traceSinks_)
+        trace->begin(0);
+}
+
+Executor::~Executor()
+{
+    for (const std::unique_ptr<ResultSink> &trace : traceSinks_)
+        trace->end();
 }
 
 void
-Executor::run(const ExperimentPlan &plan, ResultSink &sink) const
+Executor::run(const ExperimentPlan &plan, ResultSink &sink)
 {
+    Tap tap(*this, sink);
     if (campaign_)
-        runDispatchCampaign(plan, *campaign_, sink);
+        runDispatchCampaign(plan, *campaign_, tap);
     else
-        runner_.run(plan, sink);
+        runner_.run(plan, tap);
+    jobsRun_ += plan.jobs.size();
+}
+
+std::vector<BatchResult>
+Executor::run(const ExperimentPlan &plan)
+{
+    CollectingSink sink;
+    run(plan, sink);
+    return sink.take();
 }
 
 std::shared_ptr<const trace::TaskTrace>
@@ -37,9 +131,17 @@ Executor::resolveTrace(const JobSpec &job) const
 void
 Executor::reportCacheStats() const
 {
-    // A campaign's cache lives in its runners, which report it.
     if (cache_)
         progress(cache_->statsLine());
+    // A local runner's own summary ends up in the spool, which a
+    // successful campaign deletes; the results carry what it did.
+    if (campaign_ && !campaign_->cacheDir.empty())
+        progress(strprintf("result cache '%s' (campaign): %zu of %zu "
+                           "references and %zu of %zu sampled "
+                           "outcomes replayed",
+                           campaign_->cacheDir.c_str(),
+                           cachedReferences_, references_,
+                           cachedSampled_, sampled_));
 }
 
 std::unique_ptr<Executor>
@@ -48,9 +150,6 @@ executorFromCli(const CliArgs &args)
     BatchOptions batch;
     batch.jobs = jobsFlag(args, 1);
     batch.progress = true;
-    batch.collectTimelines =
-        !args.getString(kTraceOutOption, "").empty() ||
-        !args.getString(kTraceStatsOption, "").empty();
 
     const std::size_t runners =
         args.has("runners")
@@ -65,7 +164,8 @@ executorFromCli(const CliArgs &args)
         batch.checkpoints = checkpoints.get();
         return std::make_unique<Executor>(batch, std::nullopt,
                                           std::move(cache),
-                                          std::move(checkpoints));
+                                          std::move(checkpoints),
+                                          traceSinksFromCli(args));
     }
 
     using std::chrono::milliseconds;
@@ -93,15 +193,13 @@ executorFromCli(const CliArgs &args)
     d.checkpointDir = args.getString(kCheckpointDirOption, "");
     d.progress = true;
     d.keepSpool = args.has("keep-spool");
-    // Trace sinks live on the coordinator; the tasks only carry the
-    // "record timelines" bit to the runners.
-    d.collectTimelines = batch.collectTimelines;
-    return std::make_unique<Executor>(batch, std::move(d));
+    return std::make_unique<Executor>(batch, std::move(d), nullptr,
+                                      nullptr, traceSinksFromCli(args));
 }
 
 void
 runPlanReport(const std::string &title, const ExperimentPlan &plan,
-              const Executor &executor, const CliArgs &args)
+              Executor &executor, const CliArgs &args)
 {
     TableSink table(title);
     StatsSink stats;
@@ -115,12 +213,6 @@ runPlanReport(const std::string &title, const ExperimentPlan &plan,
         tee(std::make_unique<CsvSink>(f));
     if (const std::string f = args.getString("json", ""); !f.empty())
         tee(std::make_unique<JsonSink>(f));
-    if (const std::string f = args.getString(kTraceOutOption, "");
-        !f.empty())
-        tee(std::make_unique<ChromeTraceSink>(f));
-    if (const std::string f = args.getString(kTraceStatsOption, "");
-        !f.empty())
-        tee(std::make_unique<TimelineStatsSink>(f));
     TeeSink all(std::move(sinks));
 
     executor.run(plan, all);

@@ -51,39 +51,6 @@ fmtReportDouble(double v)
 
 namespace {
 
-/** JSON string literal (quotes, backslashes, control chars). */
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
-
 const std::vector<std::string> kSummaryHeader = {
     "#",         "label",   "cycles",  "detail frac",
     "error [%]", "speedup", "host [s]"};
@@ -257,7 +224,7 @@ JsonSink::consume(BatchResult &&r)
     const sim::SimResult *primary =
         r.sampled ? &r.sampled->result : nullptr;
     out_ << "  {\"index\": " << r.index
-         << ", \"label\": " << jsonString(r.label)
+         << ", \"label\": " << sim::jsonQuote(r.label)
          << ", \"sampled_cycles\": ";
     if (primary)
         out_ << primary->totalCycles;

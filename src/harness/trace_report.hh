@@ -9,7 +9,9 @@
  * reports. They work identically in-process, under --workers=N and
  * under a dispatch campaign: timelines serialize into the runners'
  * result streams, so the coordinator-side sink merges the slices of
- * a whole campaign into one document.
+ * a whole campaign into one document. harness::Executor owns the
+ * sinks a command line names and feeds them every run's results,
+ * numbered run-wide.
  *
  * Results without a timeline (cache replays, checkpoint slice
  * groups) contribute nothing — the merged trace covers exactly the

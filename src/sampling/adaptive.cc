@@ -270,4 +270,20 @@ StratifiedEstimator::reallocate()
     }
 }
 
+const char *
+stopReason(const AdaptiveDiagnostics &d)
+{
+    return d.budgetStopped   ? "budget cap"
+           : d.cutoffStopped ? "rare cutoff"
+                             : "CI target";
+}
+
+std::string
+reportedCi(const AdaptiveDiagnostics &d)
+{
+    if (d.cutoffStopped && d.finalRelHalfWidth == 0.0)
+        return "n/a";
+    return strprintf("%.2f%%", 100.0 * d.finalRelHalfWidth);
+}
+
 } // namespace tp::sampling

@@ -54,6 +54,7 @@
 #define TP_SAMPLING_ADAPTIVE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/statistics.hh"
@@ -123,6 +124,20 @@ struct AdaptiveDiagnostics
      */
     std::vector<std::uint64_t> strataSamples;
 };
+
+/**
+ * Why the run's last sampling phase ended, as the diagnostics tables
+ * print it: "budget cap", else "rare cutoff", else "CI target".
+ */
+const char *stopReason(const AdaptiveDiagnostics &d);
+
+/**
+ * The reported CI half-width as a table cell: "n/a" when it was never
+ * computable (the rare cutoff ended the phase with a zero
+ * half-width: some stratum stayed under 2 samples), else the
+ * percentage with two decimals, e.g. "2.46%".
+ */
+std::string reportedCi(const AdaptiveDiagnostics &d);
 
 /** See file comment. */
 class StratifiedEstimator

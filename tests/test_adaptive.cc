@@ -354,6 +354,37 @@ TEST(AdaptiveBudget, CapBoundsDetailCostWithDistinctStopReason)
         << " vs lazy " << lazy.result.detailedInsts;
 }
 
+TEST(AdaptiveDiagnosticsText, StopReasonRanksBudgetThenCutoff)
+{
+    AdaptiveDiagnostics d;
+    d.enabled = true;
+    EXPECT_STREQ(stopReason(d), "CI target");
+    d.cutoffStopped = true;
+    EXPECT_STREQ(stopReason(d), "rare cutoff");
+    d.budgetStopped = true;
+    EXPECT_STREQ(stopReason(d), "budget cap");
+    d.cutoffStopped = false;
+    EXPECT_STREQ(stopReason(d), "budget cap");
+}
+
+TEST(AdaptiveDiagnosticsText, CiIsNotApplicableOnlyWhenNeverComputed)
+{
+    AdaptiveDiagnostics d;
+    d.enabled = true;
+    d.finalRelHalfWidth = 0.0246;
+    EXPECT_EQ(reportedCi(d), "2.46%");
+    d.budgetStopped = true;
+    EXPECT_EQ(reportedCi(d), "2.46%");
+    d.cutoffStopped = true;
+    EXPECT_EQ(reportedCi(d), "2.46%");
+    d.finalRelHalfWidth = 0.0;
+    EXPECT_EQ(reportedCi(d), "n/a");
+    // A zero half-width the CI target reached is a real 0.
+    d.budgetStopped = false;
+    d.cutoffStopped = false;
+    EXPECT_EQ(reportedCi(d), "0.00%");
+}
+
 // ---------------------------------------------------------------
 // Serialization.
 // ---------------------------------------------------------------

@@ -7,7 +7,8 @@
  * ordered result stream as in-process execution — including with a
  * runner killed mid-task, for an empty plan, and with a runner
  * binary that can never succeed; executorFromCli() maps the CLI onto
- * it and validates the cache flags for both executors alike.
+ * it and validates the cache flags for both executors alike, and the
+ * executor's trace sinks span all its runs, numbered run-wide.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "common/binary_io.hh"
 #include "common/cli.hh"
 #include "common/fault_injection.hh"
+#include "common/logging.hh"
 #include "harness/batch_runner.hh"
 #include "harness/executor.hh"
 #include "harness/result_sink.hh"
@@ -312,6 +314,54 @@ TEST(ExecutorCli, BadCacheFlagsFailAtOnceForBothExecutors)
                       .find("expects off, ro or rw"),
                   std::string::npos);
     }
+}
+
+/** Logs what an executor feeds one of its trace sinks. */
+class LoggingTraceSink final : public ResultSink
+{
+  public:
+    explicit LoggingTraceSink(std::vector<std::string> &log) : log_(log)
+    {}
+
+    void begin(std::size_t) override { log_.push_back("begin"); }
+
+    void
+    consume(BatchResult &&r) override
+    {
+        log_.push_back(strprintf("%zu %s%s", r.index, r.label.c_str(),
+                                 r.timeline ? "" : " (no timeline)"));
+    }
+
+    void end() override { log_.push_back("end"); }
+
+  private:
+    std::vector<std::string> &log_;
+};
+
+TEST(ExecutorTap, TraceSinksSpanEveryRunNumberedRunWide)
+{
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<ResultSink>> traceSinks;
+    traceSinks.push_back(std::make_unique<LoggingTraceSink>(log));
+    std::vector<std::size_t> indices;
+    {
+        Executor executor(BatchOptions{}, std::nullopt, nullptr,
+                          nullptr, std::move(traceSinks));
+        EXPECT_EQ(log, std::vector<std::string>{"begin"});
+        for (const std::size_t jobs : {2, 3}) {
+            for (const BatchResult &r : executor.run(smallPlan(jobs)))
+                indices.push_back(r.index);
+        }
+        EXPECT_EQ(log.back(), "4 job 2")
+            << "the documents stay open while the executor lives";
+    }
+    EXPECT_EQ(log, (std::vector<std::string>{"begin", "0 job 0",
+                                             "1 job 1", "2 job 0",
+                                             "3 job 1", "4 job 2",
+                                             "end"}))
+        << "timelines recorded, jobs numbered across both runs";
+    EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 0, 1, 2}))
+        << "the runs' own sinks keep per-plan numbering";
 }
 
 } // namespace

@@ -18,15 +18,22 @@
 #     (fig06_sensitivity: references, then a sweep) numbers its jobs
 #     run-wide: one process name per trace pid, one stats row per
 #     (job, core).
+#  5. Every driver's documents come from the one executor: a figure
+#     driver's equal replay_plan's of the plan it saved, and a
+#     two-plan driver's (ablation_sampling) are identical in-process
+#     and under --workers=2, one process name per pid.
 #
 # Usage: trace_smoke.sh <replay-plan-binary> <dispatch-binary>
-#                       <golden-dir> <fig06-binary>
+#                       <golden-dir> <fig06-binary> <fig07-binary>
+#                       <ablation-binary>
 set -euo pipefail
 
 replay="$1"
 dispatch="$2"
 golden_dir="$3"
 fig06="$4"
+fig07="$5"
+ablation="$6"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -112,5 +119,36 @@ test -s "$work/fig06.pids"
 test -z "$(sort "$work/fig06.pids" | uniq -d)" # one name per pid
 test -z "$(tail -n +2 "$work/fig06-stats.csv" | cut -d, -f1,3 |
     sort | uniq -d)" # one row per (job, core)
+
+# --- 7. figure drivers: replay_plan's documents, numbered run-wide ---
+tiny=(--scale=0.005 --instr-scale=0.05)
+"$fig07" --benchmarks=histogram,cholesky "${tiny[@]}" \
+    --save-plan="$work/fig07.tpplan" --trace-out="$work/fig07.json" \
+    --trace-stats="$work/fig07-stats.csv" >"$work/fig07.out" 2>&1
+"$fig07" --benchmarks=histogram,cholesky "${tiny[@]}" --workers=2 \
+    --trace-out="$work/fig07-w.json" \
+    --trace-stats="$work/fig07-w-stats.csv" >"$work/fig07-w.out" 2>&1
+"$replay" --plan="$work/fig07.tpplan" \
+    --trace-out="$work/fig07-replay.json" \
+    --trace-stats="$work/fig07-replay-stats.csv" \
+    >"$work/fig07-replay.out" 2>&1
+cmp "$work/fig07.json" "$work/fig07-w.json"
+cmp "$work/fig07.json" "$work/fig07-replay.json"
+cmp "$work/fig07-stats.csv" "$work/fig07-w-stats.csv"
+cmp "$work/fig07-stats.csv" "$work/fig07-replay-stats.csv"
+
+"$ablation" "${tiny[@]}" --trace-out="$work/ablation.json" \
+    --trace-stats="$work/ablation-stats.csv" >"$work/ablation.out" 2>&1
+"$ablation" "${tiny[@]}" --workers=2 \
+    --trace-out="$work/ablation-w.json" \
+    --trace-stats="$work/ablation-w-stats.csv" \
+    >"$work/ablation-w.out" 2>&1
+cmp "$work/ablation.json" "$work/ablation-w.json"
+cmp "$work/ablation-stats.csv" "$work/ablation-w-stats.csv"
+grep '"ph":"M"' "$work/ablation.json" |
+    grep '"name":"process_name"' |
+    sed -E 's/.*"pid":([0-9]+),.*/\1/' >"$work/ablation.pids"
+test -s "$work/ablation.pids"
+test -z "$(sort "$work/ablation.pids" | uniq -d)" # one name per pid
 
 echo "trace smoke ok"
