@@ -264,7 +264,7 @@ BENCHMARK(BM_CheckpointFrame)->Unit(benchmark::kMillisecond);
 /**
  * Encoding and decoding the checkpoint state of an aged 8-core
  * high-performance hierarchy: the run-length block codec over the
- * tag, LRU and sharers arrays that make up most of every boundary's
+ * tag, stamp and sharers arrays that make up most of every boundary's
  * payload. Resident lines from random traffic sit between the junk
  * and empty ways a partial fast-forward aging leaves behind.
  */

@@ -1,8 +1,8 @@
 #include "memory/cache.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -19,6 +19,9 @@ Cache::Cache(std::string name, const CacheConfig &config)
     if (config_.assoc == 0)
         fatal("cache '%s': associativity must be positive",
               name_.c_str());
+    if (config_.assoc > kMaxAssoc)
+        fatal("cache '%s': associativity %u above %u",
+              name_.c_str(), config_.assoc, kMaxAssoc);
     const std::uint64_t line_capacity =
         config_.sizeBytes / config_.lineBytes;
     if (line_capacity == 0 || line_capacity % config_.assoc != 0) {
@@ -34,7 +37,8 @@ Cache::Cache(std::string name, const CacheConfig &config)
     lineShift_ =
         static_cast<std::uint32_t>(std::countr_zero(config_.lineBytes));
     tags_.assign(numSets_ * config_.assoc, 0);
-    lru_.assign(numSets_ * config_.assoc, 0);
+    stamps_.assign(numSets_ * config_.assoc, 0);
+    clocks_.assign(numSets_, 0);
 }
 
 std::uint64_t
@@ -51,21 +55,22 @@ Cache::tagOf(Addr addr) const
 
 std::uint32_t
 Cache::victimWay(const std::uint64_t *set_tags,
-                 const std::uint64_t *set_lru) const
+                 const std::uint8_t *set_stamps) const
 {
     // Order matters for replay equivalence: the first invalid way
     // wins; otherwise the first way carrying the strictly smallest
-    // LRU tick (ties keep the earlier way). One key orders both — 0
-    // for an invalid way, tick + 1 for a valid one (state() rejects
-    // the clock value that would wrap) — so a select-only scan for
-    // the first strict minimum picks the same way without branches.
-    const auto key = [set_tags, set_lru](std::uint32_t w) {
-        return (set_lru[w] + 1) & (0 - (set_tags[w] & kValidBit));
+    // stamp (ties keep the earlier way). One key orders both — 0 for
+    // an invalid way, stamp + 1 for a valid one — so a select-only
+    // scan for the first strict minimum picks the same way without
+    // branches.
+    const auto key = [set_tags, set_stamps](std::uint32_t w) {
+        return (std::uint32_t{set_stamps[w]} + 1) &
+               (0u - static_cast<std::uint32_t>(set_tags[w] & kValidBit));
     };
     std::uint32_t victim = 0;
-    std::uint64_t best = key(0);
+    std::uint32_t best = key(0);
     for (std::uint32_t w = 1; w < config_.assoc; ++w) {
-        const std::uint64_t k = key(w);
+        const std::uint32_t k = key(w);
         const bool older = k < best;
         victim = older ? w : victim;
         best = older ? k : best;
@@ -74,16 +79,37 @@ Cache::victimWay(const std::uint64_t *set_tags,
 }
 
 void
+Cache::renumber(std::uint64_t set)
+{
+    std::uint8_t *const set_stamps = &stamps_[set * config_.assoc];
+    // rank[s]: 1 + the number of distinct nonzero stamps below s.
+    // At most kMaxAssoc of them, so the clock ends below 255.
+    std::array<std::uint8_t, kMaxStamp + 1> rank{};
+    for (std::uint32_t w = 0; w < config_.assoc; ++w)
+        rank[set_stamps[w]] = 1;
+    std::uint8_t m = 0;
+    for (std::size_t s = 1; s < rank.size(); ++s) {
+        if (rank[s])
+            rank[s] = ++m;
+    }
+    rank[0] = 0; // zeros stay 0
+    for (std::uint32_t w = 0; w < config_.assoc; ++w)
+        set_stamps[w] = rank[set_stamps[w]];
+    clocks_[set] = m;
+}
+
+void
 Cache::fill(Addr addr)
 {
     const std::uint64_t want = packTag(tagOf(addr));
-    const std::size_t base = setIndex(addr) * config_.assoc;
+    const std::uint64_t set = setIndex(addr);
+    const std::size_t base = set * config_.assoc;
     std::uint64_t *const set_tags = &tags_[base];
     if (findWay(set_tags, want) != kNoWay)
         return; // already resident; leave LRU untouched
 
-    std::uint64_t *const set_lru = &lru_[base];
-    const std::uint32_t victim = victimWay(set_tags, set_lru);
+    std::uint8_t *const set_stamps = &stamps_[base];
+    const std::uint32_t victim = victimWay(set_tags, set_stamps);
     const std::uint64_t victim_tag = set_tags[victim];
     if (validWord(victim_tag)) {
         ++stats_.evictions;
@@ -91,7 +117,7 @@ Cache::fill(Addr addr)
             ++stats_.writebacks;
     }
     set_tags[victim] = want;
-    set_lru[victim] = config_.scanResistantInsert ? 0 : ++lruTick_;
+    set_stamps[victim] = config_.scanResistantInsert ? 0 : newStamp(set);
     ++stats_.prefetchFills;
 }
 
@@ -123,7 +149,7 @@ Cache::prepollute()
     // Oldest LRU position: evicted before anything the program
     // touches.
     std::fill(tags_.begin(), tags_.end(), kJunkWord);
-    std::fill(lru_.begin(), lru_.end(), 0);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
 }
 
 void
@@ -132,25 +158,25 @@ Cache::ageLines(std::uint64_t lines)
     lines = std::min<std::uint64_t>(lines, tags_.size());
     if (lines == 0)
         return;
-    // Scan-resistant caches stamp every junk line with its own tick
-    // (see the header comment).
+    // Scan-resistant caches give every junk line its own stamp (see
+    // the header comment).
     const bool per_line = config_.scanResistantInsert;
-    const std::uint64_t tick = per_line ? 0 : ++lruTick_;
     // The cursor still advances by `lines`: it decides which sets a
     // later partial aging hits.
     if (lines == tags_.size() && !per_line) {
         // Every way is replaced, whatever the cursor.
         std::fill(tags_.begin(), tags_.end(), kJunkWord);
-        std::fill(lru_.begin(), lru_.end(), tick);
+        std::fill(stamps_.begin(), stamps_.end(), 1);
+        std::fill(clocks_.begin(), clocks_.end(), 1);
         ageCursor_ += lines;
         return;
     }
     for (std::uint64_t i = 0; i < lines; ++i) {
-        const std::uint64_t set = ageCursor_++ % numSets_;
+        const std::uint64_t set = ageCursor_++ & (numSets_ - 1);
         const std::size_t base = set * config_.assoc;
         std::uint64_t *const set_tags = &tags_[base];
-        std::uint64_t *const set_lru = &lru_[base];
-        // First invalid way, else first strict-minimum LRU (the
+        std::uint8_t *const set_stamps = &stamps_[base];
+        // First invalid way, else first strict-minimum stamp (the
         // original scan's break-on-invalid order). Not victimWay's
         // rule: with way 0 invalid this takes a later invalid way,
         // and a scan-resistant cache's later ties depend on which.
@@ -161,11 +187,14 @@ Cache::ageLines(std::uint64_t lines)
                 break;
             }
             if (validWord(set_tags[victim]) &&
-                set_lru[w] < set_lru[victim])
+                set_stamps[w] < set_stamps[victim])
                 victim = w;
         }
         set_tags[victim] = kJunkWord;
-        set_lru[victim] = per_line ? ++lruTick_ : tick;
+        // The cursor visits every set once in the first numSets_
+        // lines, so a later visit reuses the set's newest stamp.
+        set_stamps[victim] =
+            per_line || i < numSets_ ? newStamp(set) : clocks_[set];
     }
 }
 
@@ -174,16 +203,15 @@ Cache::state(StateIo &io)
 {
     io.count(tags_.size(), ("cache '" + name_ + "' way count").c_str());
     io.block(tags_);
-    io.block(lru_);
-    io.pod(lruTick_);
-    // victimWay keys a valid way by its tick + 1, which must not
-    // wrap; every tick is at most the clock.
-    if (io.loading() &&
-        lruTick_ == std::numeric_limits<std::uint64_t>::max())
-        io.corrupt("LRU clock");
-    if (io.loading() &&
-        *std::max_element(lru_.begin(), lru_.end()) > lruTick_)
-        io.corrupt("LRU tick");
+    io.block(stamps_);
+    io.block(clocks_);
+    if (io.loading()) {
+        for (std::uint64_t set = 0; set < numSets_; ++set) {
+            const std::uint8_t *const s = &stamps_[set * config_.assoc];
+            if (*std::max_element(s, s + config_.assoc) > clocks_[set])
+                io.corrupt("LRU stamp");
+        }
+    }
     io.pod(ageCursor_);
     io.pod(stats_.accesses);
     io.pod(stats_.hits);

@@ -37,8 +37,10 @@ struct CacheConfig
      * Scan-resistant insertion (LIP): lines filled on a miss are
      * inserted at the LRU position and only promoted on a hit, so
      * streaming data cannot displace the resident hot set. Modern
-     * LLC replacement (DRRIP-family) behaves this way; enabled for
-     * the shared levels of both Table II configurations.
+     * LLC replacement (DRRIP-family) behaves this way. Both Table II
+     * configurations use plain LRU at every level (cpu/arch_config);
+     * LIP is reached only through a plan's serialized CacheConfig
+     * and the tests.
      */
     bool scanResistantInsert = false;
 };
@@ -75,7 +77,8 @@ class Cache
     /**
      * @param name   for stats reporting ("l1-3", "l3", ...)
      * @param config geometry; size/assoc/line must be powers of two
-     *               compatible (size divisible by assoc*line)
+     *               compatible (size divisible by assoc*line), and
+     *               assoc at most kMaxAssoc
      */
     Cache(std::string name, const CacheConfig &config);
 
@@ -96,19 +99,24 @@ class Cache
     bool contains(Addr addr) const;
 
     /**
-     * Prefetch the *host* cache lines holding this set's tag and
-     * LRU words. No simulated effect whatsoever — purely a
-     * performance hint so the hierarchy can overlap the host-memory
-     * latency of several upcoming set scans (the tag stores of big
-     * simulated caches dwarf the host's own caches, so every scan
-     * is otherwise a serialized host miss).
+     * Prefetch every *host* cache line holding this set's tag words
+     * and recency stamps, and its clock. No simulated effect
+     * whatsoever — purely a performance hint so the hierarchy can
+     * overlap the host-memory latency of several upcoming set scans
+     * (the tag stores of big simulated caches dwarf the host's own
+     * caches, so every scan is otherwise a serialized host miss).
+     * A set's tags need not start on a host line: a 20-way set's
+     * 160 bytes span three or four of them.
      */
     void
     hostPrefetch(Addr addr) const
     {
-        const std::size_t base = setIndex(addr) * config_.assoc;
-        __builtin_prefetch(&tags_[base]);
-        __builtin_prefetch(&lru_[base]);
+        const std::uint64_t set = setIndex(addr);
+        const std::size_t base = set * config_.assoc;
+        prefetchHostLines(&tags_[base],
+                          config_.assoc * sizeof(std::uint64_t));
+        prefetchHostLines(&stamps_[base], config_.assoc);
+        __builtin_prefetch(&clocks_[set]);
     }
 
     /**
@@ -138,7 +146,7 @@ class Cache
      * interchangeable: which junk way a miss evicts is invisible to
      * hits, misses, evictions, writebacks and occupancy (see
      * ageLines for the one exception). That makes prepollution two
-     * fills of the tag and LRU arrays.
+     * fills of the tag and stamp arrays.
      */
     void prepollute();
 
@@ -148,20 +156,23 @@ class Cache
      * prepollute) round-robin across the sets, displacing LRU
      * residents.
      *
-     * All junk of one call shares one LRU tick, `++lruTick_`: newer
+     * All junk of one call in one set shares one stamp: the call's
+     * first visit to a set takes a new stamp, and its later visits
+     * (a call of more lines than sets) reuse it. That stamp is newer
      * than every line the call leaves in place and older than every
-     * line touched later, which is all that per-insertion ticks
+     * line touched later, which is all that per-insertion stamps
      * guaranteed, since junk lines are interchangeable. A call that
      * replaces every way — the usual case after a long fast-forward
-     * — is therefore two fills; a partial call keeps the victim rule
+     * — is therefore three array fills: every way junk, and every
+     * stamp and every clock 1. A partial call keeps the victim rule
      * and set order of one insertion at a time. `lines == 0` changes
      * nothing.
      *
-     * A scan-resistant cache is the exception: it stamps each junk
-     * line with its own tick and always takes the one-at-a-time
-     * path. Its misses insert at tick 0, so once an invalidation
+     * A scan-resistant cache is the exception: it gives each junk
+     * line its own new stamp and always takes the one-at-a-time
+     * path. Its misses insert at stamp 0, so once an invalidation
      * frees a way two real lines can tie, and then way order decides
-     * which one goes. A shared tick would make misses take junk ways
+     * which one goes. A shared stamp would make misses take junk ways
      * in way order rather than insertion order, placing real lines
      * in other ways and changing that outcome.
      *
@@ -189,31 +200,48 @@ class Cache
     std::uint64_t numSets() const { return numSets_; }
 
     /**
-     * Checkpoint state: packed tag words, LRU ticks and the
-     * replacement/aging counters, plus the statistics (cumulative
-     * counters must survive a checkpoint restore bit-identically).
-     * Geometry is fixed by construction; only the way count is
-     * stored, and a mismatch throws IoError on load, as does a
-     * stored tick newer than the stored LRU clock (ageLines relies
-     * on `++lruTick_` being newer than every resident line).
+     * Checkpoint state, in order: the way count, the tag block, the
+     * stamp block, the clock block, the aging cursor and the
+     * statistics (cumulative counters must survive a checkpoint
+     * restore bit-identically). Geometry is fixed by construction;
+     * only the way count is stored, and a mismatch throws IoError on
+     * load, as does a stamp newer than its set's clock (a new stamp
+     * must be newer than every line of its set).
      */
     void state(StateIo &io);
+
+    /**
+     * Largest associativity: renumbering a set (see the layout
+     * comment) needs a stamp left over after its ways' stamps.
+     */
+    static constexpr std::uint32_t kMaxAssoc = 254;
 
   private:
     /**
      * Tag-store layout: one packed 8-byte word per way holding
      * `tag << 2 | dirty | valid` (synthetic addresses stay below
      * 2^58 — regions at 2^40 / 2^44 — so a line tag fits 62 bits),
-     * and a parallel array of LRU ticks.
+     * a parallel array of 8-bit recency stamps, and one 8-bit clock
+     * per set. 9 bytes per way: the 8-core high-performance
+     * hierarchy carries 5.1 MiB of cache state.
      *
-     * Splitting tags from ticks keeps the hit scan — the single
-     * hottest loop of detailed simulation — inside one host cache
-     * line per set for 8-way caches, and lets it run branchlessly:
-     * all ways are compared with conditional moves and at most one
-     * can match, so the scan has no data-dependent early exit to
-     * mispredict. Real tags are unique per set; a set may hold the
-     * junk word (kJunkWord) many times, but it never equals the word
-     * of a real tag.
+     * Splitting tags from stamps keeps the hit scan — the single
+     * hottest loop of detailed simulation — to the tag words, and
+     * lets it run branchlessly: all ways are compared with
+     * conditional moves and at most one can match, so the scan has
+     * no data-dependent early exit to mispredict. Real tags are
+     * unique per set; a set may hold the junk word (kJunkWord) many
+     * times, but it never equals the word of a real tag.
+     *
+     * Recency is per set, because every replacement decision
+     * compares stamps within one set: a higher stamp is more recent,
+     * equal stamps tie, and 0 (a prepolluted line or a scan-resistant
+     * insertion) is the oldest. A touch takes `++clock` of its set
+     * (newStamp), so every stamp is at most its set's clock. Before
+     * a clock passes 255, renumber maps the set's nonzero stamps to
+     * 1..m, keeping their order and ties, and the clock becomes m;
+     * zeros stay 0. Each decision is therefore the one a global
+     * 64-bit tick per way would make.
      */
     static constexpr std::uint64_t kValidBit = 1;
     static constexpr std::uint64_t kDirtyBit = 2;
@@ -254,22 +282,51 @@ class Cache
 
     /**
      * @return way index to evict: the first invalid way, else the
-     * way with the (first) smallest LRU tick — the order the
-     * original combined scan produced.
+     * way with the (first) smallest stamp — the order the original
+     * combined scan produced.
      */
     std::uint32_t victimWay(const std::uint64_t *set_tags,
-                            const std::uint64_t *set_lru) const;
+                            const std::uint8_t *set_stamps) const;
+
+    /**
+     * @return a stamp newer than every stamp of `set`, advancing its
+     * clock (renumbering the set first when the clock is at 255).
+     */
+    std::uint8_t
+    newStamp(std::uint64_t set)
+    {
+        std::uint8_t &clock = clocks_[set];
+        if (clock == kMaxStamp) [[unlikely]]
+            renumber(set);
+        return ++clock;
+    }
+
+    /** Map `set`'s nonzero stamps to 1..m, in order (see layout). */
+    void renumber(std::uint64_t set);
+
+    /** Hint each host line the `bytes` bytes at `p` touch, once. */
+    static void
+    prefetchHostLines(const void *p, std::size_t bytes)
+    {
+        constexpr std::uintptr_t kHostLine = 64;
+        const auto at = reinterpret_cast<std::uintptr_t>(p);
+        for (std::uintptr_t line = at & ~(kHostLine - 1);
+             line < at + bytes; line += kHostLine)
+            __builtin_prefetch(reinterpret_cast<const void *>(line));
+    }
 
     std::uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
+
+    static constexpr std::uint8_t kMaxStamp = 255;
 
     std::string name_;
     CacheConfig config_;
     std::uint64_t numSets_;
     std::uint32_t lineShift_;
-    std::vector<std::uint64_t> tags_; //!< numSets_*assoc, set-major
-    std::vector<std::uint64_t> lru_;  //!< higher = more recent
-    std::uint64_t lruTick_ = 0;
+    std::vector<std::uint64_t> tags_;  //!< numSets_*assoc, set-major
+    std::vector<std::uint8_t> stamps_; //!< per way; higher = more recent
+    std::vector<std::uint8_t> clocks_; //!< per set; its newest stamp
     std::uint64_t ageCursor_ = 0;
     CacheStats stats_;
 };
@@ -278,7 +335,8 @@ inline CacheAccessOutcome
 Cache::access(Addr addr, bool is_write)
 {
     ++stats_.accesses;
-    const std::size_t base = setIndex(addr) * config_.assoc;
+    const std::uint64_t set = setIndex(addr);
+    const std::size_t base = set * config_.assoc;
     std::uint64_t *const set_tags = &tags_[base];
 
     // A valid line with this tag matches `want` in one compare once
@@ -288,15 +346,15 @@ Cache::access(Addr addr, bool is_write)
     const std::uint32_t hit_way = findWay(set_tags, want);
     if (hit_way != kNoWay) {
         ++stats_.hits;
-        lru_[base + hit_way] = ++lruTick_;
+        stamps_[base + hit_way] = newStamp(set);
         if (is_write)
             set_tags[hit_way] |= kDirtyBit;
         return {true, false};
     }
 
     ++stats_.misses;
-    std::uint64_t *const set_lru = &lru_[base];
-    const std::uint32_t victim = victimWay(set_tags, set_lru);
+    std::uint8_t *const set_stamps = &stamps_[base];
+    const std::uint32_t victim = victimWay(set_tags, set_stamps);
     const std::uint64_t victim_tag = set_tags[victim];
 
     CacheAccessOutcome out{false, false};
@@ -308,7 +366,7 @@ Cache::access(Addr addr, bool is_write)
         }
     }
     set_tags[victim] = want | (is_write ? kDirtyBit : 0);
-    set_lru[victim] = config_.scanResistantInsert ? 0 : ++lruTick_;
+    set_stamps[victim] = config_.scanResistantInsert ? 0 : newStamp(set);
     return out;
 }
 

@@ -158,8 +158,8 @@ Hierarchy::access(ThreadId core, Addr addr, bool is_write, Cycles now)
         const Addr line = addr >> 6;
         std::uint64_t &mask = sharers_[line];
         if (is_write) {
-            if (mask & ~(1ULL << core)) {
-                invalidateRemote(core, addr);
+            if (const std::uint64_t others = mask & ~(1ULL << core)) {
+                invalidateRemote(others, addr);
                 lat += config_.upgradeLatency;
             }
             mask = 1ULL << core;
@@ -172,12 +172,8 @@ Hierarchy::access(ThreadId core, Addr addr, bool is_write, Cycles now)
 }
 
 void
-Hierarchy::invalidateRemote(ThreadId core, Addr line_addr)
+Hierarchy::invalidateRemote(std::uint64_t others, Addr line_addr)
 {
-    std::uint64_t *mask = sharers_.find(line_addr >> 6);
-    if (mask == nullptr)
-        return;
-    std::uint64_t others = *mask & ~(1ULL << core);
     while (others) {
         const int c = std::countr_zero(others);
         others &= others - 1;
@@ -186,7 +182,6 @@ Hierarchy::invalidateRemote(ThreadId core, Addr line_addr)
             l2s_[static_cast<std::size_t>(c)].invalidate(line_addr);
         ++coherenceInvalidations_;
     }
-    *mask = 1ULL << core;
 }
 
 void

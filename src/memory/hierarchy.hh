@@ -124,12 +124,12 @@ class Hierarchy
     const MemoryConfig &config() const { return config_; }
 
     /**
-     * Checkpoint the complete warm state: every cache's tag/LRU
-     * arrays, all port and DRAM reservations, the sharers directory,
-     * the coherence counter and the per-core prefetcher detectors.
-     * Geometry (configuration, core count) is not serialized; the
-     * restoring hierarchy must be constructed identically. Throws
-     * IoError on mismatch.
+     * Checkpoint the complete warm state: every cache's tag, stamp
+     * and clock arrays, all port and DRAM reservations, the sharers
+     * directory, the coherence counter and the per-core prefetcher
+     * detectors. Geometry (configuration, core count) is not
+     * serialized; the restoring hierarchy must be constructed
+     * identically. Throws IoError on mismatch.
      */
     void state(StateIo &io);
 
@@ -137,7 +137,12 @@ class Hierarchy
     /** @return the L2 slice serving `core`. */
     Cache &l2For(ThreadId core);
 
-    void invalidateRemote(ThreadId core, Addr line_addr);
+    /**
+     * Invalidate `line_addr` in the private caches of every core in
+     * the sharers mask `others`. The caller rewrites the line's
+     * sharers entry itself.
+     */
+    void invalidateRemote(std::uint64_t others, Addr line_addr);
 
     /** Stream-prefetcher state per core. */
     struct Prefetcher

@@ -7,12 +7,12 @@
  * histories are freshly full and the microarchitectural state is as
  * warm as the methodology ever makes it. A checkpoint captures the
  * complete dynamic simulation state at such a boundary — packed cache
- * tag/LRU arrays and the sharers directory, ROB cores with their
- * in-flight instruction streams, runtime scheduler queues and the
- * dependency tracker, the sampling controller (histories, estimator,
- * phase machinery) and every RNG stream position — so a later run can
- * restore it and continue *bit-identically* to the run that recorded
- * it, instead of replaying the prefix.
+ * tags with their recency stamps and the sharers directory, ROB cores
+ * with their in-flight instruction streams, runtime scheduler queues
+ * and the dependency tracker, the sampling controller (histories,
+ * estimator, phase machinery) and every RNG stream position — so a
+ * later run can restore it and continue *bit-identically* to the run
+ * that recorded it, instead of replaying the prefix.
  *
  * That turns one serial job into independently replayable interval
  * slices (see harness/plan_shard.hh): slice i restores checkpoint i
@@ -30,11 +30,11 @@
  *   ...  payload (controller state, then engine state)
  *   u64  checksum64 (common/hash) of everything above
  *
- * Inside the payload every StateIo::block() array — cache tag and
- * LRU arrays, the sharers directory, ROB rings, RNG states — is
- * run-length encoded at element granularity (common/binary_io.hh),
- * so the long runs of junk and empty ways fast-forward aging leaves
- * behind cost a few bytes each.
+ * Inside the payload every StateIo::block() array — cache tag,
+ * stamp and clock arrays, the sharers directory, ROB rings, RNG
+ * states — is run-length encoded at element granularity
+ * (common/binary_io.hh), so the long runs of junk and empty ways
+ * fast-forward aging leaves behind cost a few bytes each.
  *
  * Truncation, bit flips and version skew all surface as the
  * recoverable IoError (common/binary_io.hh), which callers treat as
@@ -63,10 +63,12 @@ constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
  * tick per aging call) and the per-cache junk-tag counter is gone.
  * v3: block() arrays are run-length encoded and the envelope checksum
  * is checksum64 instead of FNV-1a.
+ * v4: a cache stores one 8-bit recency stamp per way and one 8-bit
+ * clock per set instead of 64-bit LRU ticks and a global LRU clock.
  * An older store is version skew: its slices cold-replay once and the
  * job records afresh.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 3;
+constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /** One recorded sample boundary. */
 struct Checkpoint

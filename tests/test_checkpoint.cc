@@ -109,10 +109,11 @@ withVersion(std::string blob, std::uint32_t version, bool seal)
 
 TEST(CheckpointEnvelope, VersionSkewIsRecoverable)
 {
-    // A newer build's blob, one from before run-length encoded
-    // blocks and one from before anonymous junk lines.
+    // A newer build's blob, one from before 8-bit recency stamps,
+    // one from before run-length encoded blocks and one from before
+    // anonymous junk lines.
     for (const std::uint32_t skewed :
-         {sim::kCheckpointFormatVersion + 1, 2u, 1u}) {
+         {sim::kCheckpointFormatVersion + 1, 3u, 2u, 1u}) {
         try {
             sim::deserializeCheckpoint(
                 withVersion(sim::serializeCheckpoint(sampleCheckpoint()),
@@ -169,32 +170,35 @@ struct SavedCache
     }
 
     /**
-     * @return the saved state re-encoded after `edit` changed its LRU
-     *         ticks or clock. Cache::state stores the way count, the
-     *         tag block, the LRU block, the LRU clock, then the rest.
+     * @return the saved state re-encoded after `edit` changed its
+     *         stamps or clocks. Cache::state stores the way count,
+     *         the tag block, the stamp block, the clock block, then
+     *         the rest.
      */
     std::string
-    edited(const std::function<void(std::vector<std::uint64_t> &,
-                                    std::uint64_t &)> &edit) const
+    edited(const std::function<void(std::vector<std::uint8_t> &,
+                                    std::vector<std::uint8_t> &)> &edit)
+        const
     {
         std::istringstream is(bytes, std::ios::binary);
         BinaryReader r(is, "cache");
         StateIo in(r);
-        std::vector<std::uint64_t> tags(8), lru(8);
+        std::vector<std::uint64_t> tags(8);
+        std::vector<std::uint8_t> stamps(8), clocks(4);
         in.count(8, "way count");
         in.block(tags);
-        in.block(lru);
-        std::uint64_t clock = r.pod<std::uint64_t>();
+        in.block(stamps);
+        in.block(clocks);
         const std::string rest(std::istreambuf_iterator<char>(is), {});
-        edit(lru, clock);
+        edit(stamps, clocks);
 
         std::ostringstream os(std::ios::binary);
         BinaryWriter w(os);
         StateIo out(w);
         out.count(8, "way count");
         out.block(tags);
-        out.block(lru);
-        out.pod(clock);
+        out.block(stamps);
+        out.block(clocks);
         w.bytes(rest.data(), rest.size());
         return os.str();
     }
@@ -214,37 +218,24 @@ expectCorrupt(const SavedCache &saved, const std::string &bad,
 }
 
 /**
- * Cache aging stamps junk with `++lruTick_`, which must be newer than
- * every resident line: a payload holding a tick past its cache's LRU
- * clock is corrupt.
+ * A new stamp (`++clock` of its set) must be newer than every line of
+ * the set: a payload holding a stamp past its set's clock is corrupt,
+ * while one equal to the clock loads.
  */
-TEST(CheckpointState, CacheTickNewerThanClockIsRecoverable)
+TEST(CheckpointState, CacheStampNewerThanClockIsRecoverable)
 {
     const SavedCache saved;
     EXPECT_TRUE(saved.load(saved.bytes).contains(0x40));
-    // Two misses and one aging call: the clock is 3.
-    expectCorrupt(saved,
-                  saved.edited([](std::vector<std::uint64_t> &lru,
-                                  std::uint64_t &clock) {
-                      ASSERT_EQ(clock, 3u);
-                      lru[7] = clock + 1;
-                  }),
-                  "corrupt LRU tick");
-}
-
-/**
- * The victim scan keys a valid way by its tick + 1, so the one clock
- * value under which that could wrap is corrupt.
- */
-TEST(CheckpointState, CacheClockAtWrapIsRecoverable)
-{
-    const SavedCache saved;
-    expectCorrupt(saved,
-                  saved.edited([](std::vector<std::uint64_t> &,
-                                  std::uint64_t &clock) {
-                      clock = ~std::uint64_t{0};
-                  }),
-                  "corrupt LRU clock");
+    // One miss and one aging call in set 0 (ways 0 and 1): clock 2.
+    const auto stamp_way1 = [&saved](int past_clock) {
+        return saved.edited([past_clock](std::vector<std::uint8_t> &stamps,
+                                         std::vector<std::uint8_t> &clocks) {
+            ASSERT_EQ(clocks[0], 2u);
+            stamps[1] = static_cast<std::uint8_t>(clocks[0] + past_clock);
+        });
+    };
+    EXPECT_NO_THROW(saved.load(stamp_way1(0)));
+    expectCorrupt(saved, stamp_way1(1), "corrupt LRU stamp");
 }
 
 // ---------------------------------------------------------------
@@ -568,8 +559,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
     cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
     cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
     const Pinned pinned[] = {
-        {histogram, {0x4fa287c9b60a877aULL}},
-        {cholesky, {0x6d8b1bf2884d3364ULL}},
+        {histogram, {0x0aa4c16f6e5f829cULL}},
+        {cholesky, {0xaa15692aab809149ULL}},
     };
 
     for (const Pinned &p : pinned) {
@@ -613,7 +604,7 @@ class ReadLog : public ByteViewBuf
  *         span in `cp` (StateIo::block), found by loading it into a
  *         fresh engine and controller through a ReadLog. A span is
  *         a u64 read of L followed by a read of L bytes that parse as
- *         whole tokens of 4-, 8- or 16-byte elements.
+ *         whole tokens of 4-, 8-, 16- or 1-byte elements.
  */
 std::vector<std::size_t>
 blockTokenHeaders(const sim::Checkpoint &cp, const JobSpec &job,
@@ -643,7 +634,7 @@ blockTokenHeaders(const sim::Checkpoint &cp, const JobSpec &job,
         const auto [span, span_len] = log.reads[i + 1];
         if (len == 0 || span_len != len)
             continue;
-        for (const std::size_t elem : {4, 8, 16}) {
+        for (const std::size_t elem : {4, 8, 16, 1}) {
             std::vector<std::size_t> found;
             std::size_t pos = 0;
             while (span_len - pos >= 4) {

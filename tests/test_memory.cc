@@ -151,6 +151,9 @@ TEST(Cache, RejectsBadGeometry)
     EXPECT_THROW(Cache("t", CacheConfig{500, 2, 64, 3, 0}), SimError);
     EXPECT_THROW(Cache("t", CacheConfig{512, 2, 60, 3, 0}), SimError);
     EXPECT_THROW(Cache("t", CacheConfig{512, 0, 64, 3, 0}), SimError);
+    // One set of 255 ways: past Cache::kMaxAssoc.
+    EXPECT_THROW(Cache("t", CacheConfig{255 * 64, 255, 64, 3, 0}),
+                 SimError);
 }
 
 /**
@@ -408,6 +411,80 @@ TEST_P(AnonymousJunk, MatchesUniqueJunkReference)
                 return;
         }
     }
+}
+
+/**
+ * Renumbering stress: in a one-set cache every touch advances the
+ * same 8-bit clock, so each seed's 20,000 operations renumber the
+ * set's stamps many times (see Cache's layout comment). Full aging
+ * restarts the clock, so here it is rare, as is prepollution. After
+ * every operation Cache must still match the u64-tick reference.
+ */
+TEST_P(AnonymousJunk, OneSetRenumberingMatchesReference)
+{
+    const JunkGeometry g = GetParam();
+    constexpr std::uint32_t kLine = 64;
+    const CacheConfig cfg{g.assoc * kLine, g.assoc, kLine, 1, 0,
+                          g.scanResistant};
+    const std::uint64_t footprint = 3 * g.assoc;
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Cache c("t", cfg);
+        ReferenceCache ref(cfg);
+        Rng rng(seed);
+        for (int op = 0; op < 20000; ++op) {
+            const Addr addr = rng.nextBounded(footprint) * kLine;
+            const std::uint64_t pick = rng.nextBounded(1000);
+            if (pick < 600) {
+                const bool write = rng.nextBounded(3) == 0;
+                const CacheAccessOutcome got = c.access(addr, write);
+                const CacheAccessOutcome want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << seed << "/" << op;
+                ASSERT_EQ(got.writebackVictim, want.writebackVictim)
+                    << seed << "/" << op;
+            } else if (pick < 750) {
+                c.fill(addr);
+                ref.fill(addr);
+            } else if (pick < 870) {
+                ASSERT_EQ(c.invalidate(addr), ref.invalidate(addr))
+                    << seed << "/" << op;
+            } else if (pick < 998) {
+                const std::uint64_t n = rng.nextBounded(g.assoc);
+                c.ageLines(n);
+                ref.ageLines(n);
+            } else if (pick < 999) {
+                c.ageLines(g.assoc);
+                ref.ageLines(g.assoc);
+            } else {
+                c.prepollute();
+                ref.prepollute();
+            }
+            for (std::uint64_t l = 0; l < footprint; ++l)
+                ASSERT_EQ(c.contains(l * kLine), ref.contains(l * kLine))
+                    << seed << "/" << op << ": line " << l;
+        }
+        expectSameStats(c.stats(), ref.stats());
+    }
+}
+
+/**
+ * The widest legal set: once its kMaxAssoc ways hold distinct
+ * stamps, a renumbering leaves the clock at 254, so every second
+ * touch renumbers again and the one free stamp is all there is.
+ */
+TEST(CacheStamps, RenumberingAtMaxAssocMatchesReference)
+{
+    constexpr std::uint32_t kWays = Cache::kMaxAssoc;
+    const CacheConfig cfg{kWays * 64, kWays, 64, 1, 0}; // one set
+    Cache c("t", cfg);
+    ReferenceCache ref(cfg);
+    Rng rng(3);
+    for (int op = 0; op < 5000; ++op) {
+        const Addr a = rng.nextBounded(kWays + kWays / 4) * 64;
+        ASSERT_EQ(c.access(a, false).hit, ref.access(a, false).hit)
+            << "op " << op;
+    }
+    expectSameStats(c.stats(), ref.stats());
 }
 
 /**
