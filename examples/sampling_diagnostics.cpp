@@ -15,8 +15,10 @@
  * phase effects.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/cli.hh"
@@ -27,6 +29,44 @@
 #include "sampling/taskpoint.hh"
 
 using namespace tp;
+
+namespace {
+
+/**
+ * Print each type's mean IPC in 10 buckets of completion order (the
+ * order of `series`). A flat row means early samples represent the
+ * type's whole run.
+ */
+void
+printIpcTimeline(
+    const std::string &title, const trace::TaskTrace &t,
+    const std::map<TaskTypeId, std::vector<double>> &series)
+{
+    TextTable timeline(title);
+    std::vector<std::string> hdr = {"type"};
+    for (int bkt = 0; bkt < 10; ++bkt)
+        hdr.push_back(strprintf("b%d", bkt));
+    timeline.setHeader(hdr);
+    for (const auto &[type, ipcs] : series) {
+        std::vector<std::string> row = {t.type(type).name};
+        const std::size_t n = ipcs.size();
+        for (int bkt = 0; bkt < 10; ++bkt) {
+            const std::size_t lo = n * bkt / 10;
+            const std::size_t hi =
+                std::max<std::size_t>(n * (bkt + 1) / 10, lo + 1);
+            std::vector<double> slice(
+                ipcs.begin() + static_cast<long>(lo),
+                ipcs.begin() + static_cast<long>(std::min(hi, n)));
+            row.push_back(
+                slice.empty() ? "-" : fmtDouble(mean(slice), 3));
+        }
+        timeline.addRow(row);
+    }
+    timeline.print();
+    std::printf("\n");
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -103,39 +143,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     sam.stats.resamplesConcurrency));
 
-    // IPC evolution over the run: per-type mean IPC in 10 buckets of
-    // completion order. A flat line means samples are representative.
-    TextTable timeline("reference IPC timeline (10 buckets, "
-                       "completion order)");
-    {
-        std::vector<std::string> hdr = {"type"};
-        for (int bkt = 0; bkt < 10; ++bkt)
-            hdr.push_back(strprintf("b%d", bkt));
-        timeline.setHeader(hdr);
-        std::map<TaskTypeId, std::vector<double>> series;
-        for (const sim::TaskRecord &r : ref.tasks)
-            series[r.type].push_back(r.ipc);
-        for (const auto &[type, ipcs] : series) {
-            std::vector<std::string> row = {t.type(type).name};
-            const std::size_t n = ipcs.size();
-            for (int bkt = 0; bkt < 10; ++bkt) {
-                const std::size_t lo = n * bkt / 10;
-                const std::size_t hi =
-                    std::max<std::size_t>(n * (bkt + 1) / 10, lo + 1);
-                std::vector<double> slice(
-                    ipcs.begin() + static_cast<long>(lo),
-                    ipcs.begin() +
-                        static_cast<long>(std::min(hi, n)));
-                row.push_back(
-                    slice.empty() ? "-" : fmtDouble(mean(slice), 3));
-            }
-            timeline.addRow(row);
-        }
-        timeline.print();
-        std::printf("\n");
-    }
+    printIpcTimeline("reference IPC timeline (10 buckets, "
+                     "completion order)",
+                     t, ref_all);
 
-    std::printf("phase log (%zu changes): ", sam.phaseLog.size());
+    std::printf("phase log (%llu changes): ",
+                static_cast<unsigned long long>(sam.stats.phaseChanges));
     for (std::size_t i = 0;
          i < std::min<std::size_t>(sam.phaseLog.size(), 24); ++i) {
         std::printf("%s@%llu ",
@@ -145,7 +158,7 @@ main(int argc, char **argv)
     }
     if (sam.adaptive.enabled) {
         const sampling::AdaptiveDiagnostics &d = sam.adaptive;
-        std::printf("adaptive: target %.2f%%, reported CI %s, "
+        std::printf("\nadaptive: target %.2f%%, reported CI %s, "
                     "stop cycle %llu, realloc rounds %llu, stopped "
                     "by %s\nper-stratum detailed samples:",
                     100.0 * d.targetError,
@@ -168,37 +181,8 @@ main(int argc, char **argv)
     }
     std::printf("\n\n");
 
-    // Applied fast-IPC evolution in the sampled run (10 buckets).
-    {
-        TextTable applied_tl("sampled-run applied fast IPC timeline");
-        std::vector<std::string> hdr = {"type"};
-        for (int bkt = 0; bkt < 10; ++bkt)
-            hdr.push_back(strprintf("b%d", bkt));
-        applied_tl.setHeader(hdr);
-        std::map<TaskTypeId, std::vector<double>> series;
-        for (const sim::TaskRecord &r : sam.result.tasks) {
-            if (r.mode == sim::SimMode::Fast)
-                series[r.type].push_back(r.ipc);
-        }
-        for (const auto &[type, ipcs] : series) {
-            std::vector<std::string> row = {t.type(type).name};
-            const std::size_t n = ipcs.size();
-            for (int bkt = 0; bkt < 10; ++bkt) {
-                const std::size_t lo = n * bkt / 10;
-                const std::size_t hi =
-                    std::max<std::size_t>(n * (bkt + 1) / 10, lo + 1);
-                std::vector<double> slice(
-                    ipcs.begin() + static_cast<long>(lo),
-                    ipcs.begin() +
-                        static_cast<long>(std::min(hi, n)));
-                row.push_back(
-                    slice.empty() ? "-" : fmtDouble(mean(slice), 3));
-            }
-            applied_tl.addRow(row);
-        }
-        applied_tl.print();
-        std::printf("\n");
-    }
+    printIpcTimeline("sampled-run applied fast IPC timeline", t,
+                     sam_fast);
 
     if (args.has("dump")) {
         const auto n = static_cast<std::size_t>(

@@ -33,17 +33,6 @@ Rng::Rng(std::uint64_t seed)
     }
 }
 
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    tp_assert(lo <= hi);
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1ULL;
-    if (span == 0) // full 64-bit range
-        return static_cast<std::int64_t>(next());
-    return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
 double
 Rng::normal()
 {
@@ -105,12 +94,6 @@ Rng::zipf(std::uint64_t n, double s)
     const double x = std::pow(u * (h - 1.0) + 1.0, 1.0 / (1.0 - s));
     std::uint64_t r = static_cast<std::uint64_t>(x) - 1;
     return r >= n ? n - 1 : r;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xa02bdbf7bb3c0a7ULL);
 }
 
 std::uint64_t

@@ -74,9 +74,6 @@ class Rng
         }
     }
 
-    /** @return uniform integer in [lo, hi] inclusive. */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
-
     /** @return uniform double in [0, 1). */
     double
     uniform01()
@@ -107,9 +104,6 @@ class Rng
 
     /** @return Zipf-like rank in [0, n) with exponent s. */
     std::uint64_t zipf(std::uint64_t n, double s);
-
-    /** Derive an independent child generator (for per-task streams). */
-    Rng fork();
 
     /**
      * Serialize the full generator state (stream position). A

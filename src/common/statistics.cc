@@ -54,18 +54,6 @@ sampleStddev(const std::vector<double> &xs)
 }
 
 double
-geomean(const std::vector<double> &xs)
-{
-    tp_assert(!xs.empty());
-    double log_sum = 0.0;
-    for (double x : xs) {
-        tp_assert(x > 0.0);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
 minOf(const std::vector<double> &xs)
 {
     tp_assert(!xs.empty());
@@ -192,25 +180,6 @@ RunningStats::max() const
 {
     tp_assert(n_ > 0);
     return max_;
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    n_ += other.n_;
 }
 
 } // namespace tp

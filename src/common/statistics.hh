@@ -57,9 +57,6 @@ double sampleVariance(const std::vector<double> &xs);
 /** Unbiased-variance standard deviation; panics for n < 2. */
 double sampleStddev(const std::vector<double> &xs);
 
-/** Geometric mean; requires strictly positive samples. */
-double geomean(const std::vector<double> &xs);
-
 /** Minimum; panics on an empty sample. */
 double minOf(const std::vector<double> &xs);
 
@@ -116,8 +113,6 @@ double absPctError(double value, double reference);
  * observation, so the variance never suffers the catastrophic
  * cancellation of the naive sumSq/n - mean^2 formula (which loses all
  * precision exactly in the IPC regime: large mean, tight spread).
- * merge() uses Chan's pairwise-combination formula and is exact in
- * the same sense, so per-shard accumulators can be combined.
  */
 class RunningStats
 {
@@ -148,9 +143,6 @@ class RunningStats
 
     /** @return largest observation (panics if empty). */
     double max() const;
-
-    /** Merge another accumulator into this one (Chan's formula). */
-    void merge(const RunningStats &other);
 
     /** Serialize the accumulator state (for warm-state checkpoints). */
     void

@@ -9,7 +9,7 @@ namespace tp::cpu {
 RobCore::RobCore(const CoreConfig &config, mem::Hierarchy &mem,
                  ThreadId id)
     : config_(config), mem_(mem), id_(id),
-      rob_(config.robSize, 0), hist_(kHistSize, 0)
+      rob_(config.robSize, 0)
 {
     tp_assert(config_.robSize > 0);
     tp_assert(config_.issueWidth > 0);
@@ -22,16 +22,11 @@ RobCore::beginTask(const trace::TaskType &type,
 {
     tp_assert(!stream_.has_value());
     stream_.emplace(type, inst);
-    taskStart_ = start;
-    lastEventCycle_ = start;
     lastCommit_ = start;
     dispatch_.reset(start, config_.issueWidth);
     commit_.reset(start, config_.commitWidth);
     robHead_ = 0;
     robCount_ = 0;
-    std::fill(hist_.begin(), hist_.end(), start);
-    instIndex_ = 0;
-    stats_ = DetailedRunStats{};
 }
 
 Cycles
@@ -64,20 +59,12 @@ RobCore::step(InstCount quantum)
     // bit-identical to the per-member formulation.
     const std::size_t rob_size = rob_.size();
     Cycles *const rob = rob_.data();
-    Cycles *const hist = hist_.data();
     std::size_t rob_head = robHead_;
     std::size_t rob_count = robCount_;
     Cycles last_commit = lastCommit_;
     WidthLimiter dispatch = dispatch_;
     WidthLimiter commit = commit_;
-    std::uint64_t inst_index = instIndex_;
-    std::uint64_t loads = 0, stores = 0, l1_misses = 0;
-    // dispatch_.reserve returns nondecreasing cycles, so the max
-    // over the block is the last dispatch cycle (applied once at
-    // write-back instead of per instruction).
-    Cycles last_disp = lastEventCycle_;
 
-    InstCount executed = 0;
     InstCount remaining = quantum;
     while (remaining > 0) {
         const InstCount want =
@@ -99,17 +86,22 @@ RobCore::step(InstCount quantum)
                 --rob_count;
             }
 
-            const Cycles disp =
-                dispatch.reserve(std::max(slot_free, Cycles{0}));
+            const Cycles disp = dispatch.reserve(slot_free);
 
-            // Register-dependency ready time from the completion
-            // history. Unconditional load + select: the index wraps
-            // harmlessly when depDist exceeds inst_index, and the
-            // select replaces a badly-predicted branch.
-            const std::uint64_t dep = inst_index - in.depDist;
-            const Cycles dep_ready = hist[dep % kHistSize];
+            // Register-dependency ready time from the ROB ring, which
+            // holds the last rob_count instructions in order. A
+            // producer further back committed no later than the head
+            // commit above, which dispatch cannot precede, so it
+            // never delays this instruction. Unconditional load +
+            // select (conditional wraps: every operand stays below
+            // 2 * rob_size), as a branch here mispredicts badly.
             const bool use_dep =
-                in.depDist != 0 && in.depDist <= inst_index;
+                in.depDist != 0 && in.depDist <= rob_count;
+            std::size_t dep =
+                rob_head + rob_count - (use_dep ? in.depDist : 0);
+            if (dep >= rob_size)
+                dep -= rob_size;
+            const Cycles dep_ready = rob[dep];
             const Cycles ready =
                 use_dep && dep_ready > disp ? dep_ready : disp;
 
@@ -133,31 +125,19 @@ RobCore::step(InstCount quantum)
                 // not delayed by the write latency.
                 complete = is_store ? ready + 1
                                     : ready + in.execLat + r.latency;
-                loads += is_store ? 0 : 1;
-                stores += is_store ? 1 : 0;
-                l1_misses +=
-                    !is_store && r.level != mem::HitLevel::L1 ? 1
-                                                              : 0;
             } else {
                 complete = ready + in.execLat;
             }
             if (complete <= disp)
                 complete = disp + 1;
 
-            // Insert into ROB and history (conditional wrap: both
-            // operands are < rob_size here, the commit above freed
-            // a slot).
+            // Insert at the tail (conditional wrap as above).
             std::size_t tail = rob_head + rob_count;
             if (tail >= rob_size)
                 tail -= rob_size;
             rob[tail] = complete;
             ++rob_count;
-            hist[inst_index % kHistSize] = complete;
-            ++inst_index;
-
-            last_disp = std::max(last_disp, disp);
         }
-        executed += got;
         remaining -= got;
         if (got < want)
             break; // stream exhausted
@@ -168,12 +148,6 @@ RobCore::step(InstCount quantum)
     lastCommit_ = last_commit;
     dispatch_ = dispatch;
     commit_ = commit;
-    instIndex_ = inst_index;
-    stats_.instructions += executed;
-    stats_.loads += loads;
-    stats_.stores += stores;
-    stats_.l1Misses += l1_misses;
-    lastEventCycle_ = last_disp;
 
     if (!stream.done())
         return false;
@@ -182,10 +156,6 @@ RobCore::step(InstCount quantum)
     // cycle of the last instruction.
     while (robCount_ > 0)
         commitHead();
-    lastEventCycle_ = std::max(lastEventCycle_, lastCommit_);
-    stats_.cycles = lastCommit_ > taskStart_
-                        ? lastCommit_ - taskStart_
-                        : Cycles{1};
     stream_.reset();
     return true;
 }
@@ -208,8 +178,6 @@ RobCore::state(StateIo &io, const trace::TaskType *type,
     }
     if (stream_.has_value())
         stream_->state(io);
-    io.pod(taskStart_);
-    io.pod(lastEventCycle_);
     io.pod(lastCommit_);
     io.pod(dispatch_.cycle);
     io.pod(dispatch_.used);
@@ -221,13 +189,6 @@ RobCore::state(StateIo &io, const trace::TaskType *type,
     if (io.loading() &&
         (robHead_ >= rob_.size() || robCount_ > rob_.size()))
         io.corrupt("ROB pointers");
-    io.block(hist_);
-    io.pod(instIndex_);
-    io.pod(stats_.instructions);
-    io.pod(stats_.cycles);
-    io.pod(stats_.loads);
-    io.pod(stats_.stores);
-    io.pod(stats_.l1Misses);
 }
 
 Cycles

@@ -14,6 +14,11 @@
  * The model is resumable in quanta of instructions so that the engine
  * can interleave detailed cores in approximate global-time order —
  * required for faithful contention at shared resources.
+ *
+ * The ROB ring is the only record of completion times: a register
+ * dependency on a producer still in the ring reads its slot, and a
+ * producer that already left the ring committed no later than the
+ * dependent instruction's dispatch, so it cannot delay it.
  */
 
 #ifndef TP_CPU_ROB_CORE_HH
@@ -31,23 +36,6 @@
 #include "trace/task.hh"
 
 namespace tp::cpu {
-
-/** Per-task measurement produced by the detailed core. */
-struct DetailedRunStats
-{
-    InstCount instructions = 0;
-    Cycles cycles = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t l1Misses = 0;
-
-    /** @return instructions per cycle for the run. */
-    double
-    ipc() const
-    {
-        return cycles ? double(instructions) / double(cycles) : 0.0;
-    }
-};
 
 /** Resumable detailed core (see file comment). */
 class RobCore
@@ -78,29 +66,24 @@ class RobCore
     bool busy() const { return stream_.has_value(); }
 
     /**
-     * Approximate current global cycle of this core; used by the
-     * engine to pick the lagging core for the next quantum.
+     * Approximate current global cycle of this core: the cycle of
+     * its last dispatch (the task's start before the first one).
+     * The engine keys a mid-task core by it to pick the lagging core
+     * for the next quantum.
      */
-    Cycles localNow() const { return lastEventCycle_; }
+    Cycles localNow() const { return dispatch_.cycle; }
 
     /** @return commit cycle of the task's last instruction. */
     Cycles finishTime() const;
 
-    /** @return statistics of the task finished last / in flight. */
-    const DetailedRunStats &runStats() const { return stats_; }
-
-    /** @return this core's id. */
-    ThreadId id() const { return id_; }
-
     /**
      * Checkpoint state: the in-flight instruction stream position
-     * (if any), the pipeline clocks, ROB/history contents and the
-     * per-task statistics. Configuration is fixed by construction
-     * and not serialized. On load, when the saved core had a task in
-     * flight, `type`/`inst` must name that task (the engine knows it
-     * from its own restored per-core state) so the instruction
-     * stream can be rebuilt; they may be null otherwise. Throws
-     * IoError on inconsistency.
+     * (if any), the pipeline clocks and the ROB contents.
+     * Configuration is fixed by construction and not serialized. On
+     * load, when the saved core had a task in flight, `type`/`inst`
+     * must name that task (the engine knows it from its own restored
+     * per-core state) so the instruction stream can be rebuilt; they
+     * may be null otherwise. Throws IoError on inconsistency.
      */
     void state(StateIo &io, const trace::TaskType *type,
                const trace::TaskInstance *inst);
@@ -160,24 +143,18 @@ class RobCore
     static constexpr InstCount kBlockSize = 256;
     std::array<trace::Instr, kBlockSize> block_;
 
-    Cycles taskStart_ = 0;
-    Cycles lastEventCycle_ = 0;
     Cycles lastCommit_ = 0;
 
     WidthLimiter dispatch_;
     WidthLimiter commit_;
 
-    /** Completion times of in-flight (uncommitted) instructions. */
+    /**
+     * Completion times of in-flight (uncommitted) instructions,
+     * oldest at robHead_; also the register-dependency lookup.
+     */
     std::vector<Cycles> rob_;
     std::size_t robHead_ = 0;
     std::size_t robCount_ = 0;
-
-    /** Completion-time history for register dependency resolution. */
-    static constexpr std::size_t kHistSize = 128;
-    std::vector<Cycles> hist_;
-    std::uint64_t instIndex_ = 0;
-
-    DetailedRunStats stats_;
 };
 
 } // namespace tp::cpu

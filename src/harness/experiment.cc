@@ -8,24 +8,11 @@
 
 namespace tp::harness {
 
-sim::SimConfig
-makeSimConfig(const RunSpec &spec)
-{
-    sim::SimConfig cfg;
-    cfg.arch = spec.arch;
-    cfg.numThreads = spec.threads;
-    cfg.runtime = spec.runtime;
-    cfg.quantum = spec.quantum;
-    cfg.recordTasks = spec.recordTasks;
-    cfg.noise = spec.noise;
-    return cfg;
-}
-
 sim::SimResult
 runDetailed(const trace::TaskTrace &trace, const RunSpec &spec,
             sim::TraceObserver *observer)
 {
-    sim::Engine engine(makeSimConfig(spec), trace);
+    sim::Engine engine(spec, trace);
     engine.setObserver(observer);
     return engine.run(nullptr);
 }
@@ -36,7 +23,7 @@ runSampled(const trace::TaskTrace &trace, const RunSpec &spec,
            const sim::CheckpointHooks *hooks,
            sim::TraceObserver *observer)
 {
-    sim::SimConfig cfg = makeSimConfig(spec);
+    RunSpec cfg = spec;
     cfg.noise.enabled = false; // sampling never runs under noise
     sim::Engine engine(cfg, trace);
     engine.setObserver(observer);

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/arch_config.hh"
 #include "sampling/taskpoint.hh"
 #include "sim/engine.hh"
 #include "trace/trace.hh"
@@ -28,19 +27,8 @@
 
 namespace tp::harness {
 
-/** Common knobs of one simulation run. */
-struct RunSpec
-{
-    cpu::ArchConfig arch;
-    std::uint32_t threads = 8;
-    rt::RuntimeConfig runtime;
-    InstCount quantum = 1024;
-    bool recordTasks = false;
-    sim::NoiseConfig noise;
-};
-
-/** @return a SimConfig assembled from a RunSpec. */
-sim::SimConfig makeSimConfig(const RunSpec &spec);
+/** Common knobs of one simulation run (sim/engine.hh). */
+using sim::RunSpec;
 
 /**
  * Run the full-detailed reference simulation.

@@ -196,9 +196,6 @@ class Cache
     /** @return cache name. */
     const std::string &name() const { return name_; }
 
-    /** @return number of sets. */
-    std::uint64_t numSets() const { return numSets_; }
-
     /**
      * Checkpoint state, in order: the way count, the tag block, the
      * stamp block, the clock block, the aging cursor and the

@@ -49,9 +49,6 @@ class ServicePort
         return delay;
     }
 
-    /** @return configured service period. */
-    Cycles period() const { return period_; }
-
     /** @return total requests served. */
     std::uint64_t requests() const { return requests_; }
 

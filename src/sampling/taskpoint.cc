@@ -193,7 +193,6 @@ TaskPointController::decideTask(const trace::TaskInstance &inst,
     tp_assert(inst.id < startInfo_.size());
     TypeProfile &prof = profiles_[inst.type];
     prof.markSeen();
-    prof.countObserved();
     if (estimator_)
         estimator_->markSeen(inst.type);
 
@@ -239,7 +238,6 @@ TaskPointController::decideTask(const trace::TaskInstance &inst,
     auto decide_detailed = [&](Phase as) {
         ThreadState &ts = threads_[thread];
         ts.inPhase = true;
-        ++ts.startedInPhase;
         si.phase = as;
         si.phaseSeq = phaseSeq_;
         if (as == Phase::Warmup)
@@ -374,7 +372,6 @@ TaskPointController::state(StateIo &io)
         p.state(io);
     io.length(threads_, 1, "controller thread count");
     for (ThreadState &ts : threads_) {
-        io.pod(ts.startedInPhase);
         io.pod(ts.finishedInPhase);
         io.pod(ts.sinceUnsampled);
         io.pod(ts.fastStarted);

@@ -248,7 +248,6 @@ class TaskPointController : public sim::ModeController
     /** Per-thread bookkeeping, reset at each phase change. */
     struct ThreadState
     {
-        std::uint64_t startedInPhase = 0;
         std::uint64_t finishedInPhase = 0;
         std::uint64_t sinceUnsampled = 0;
         std::uint64_t fastStarted = 0;

@@ -15,7 +15,7 @@ namespace tp::sampling {
 
 /**
  * Sampling state of one task type: the two IPC histories plus
- * bookkeeping about how often the type has been seen.
+ * whether the type has been seen.
  */
 class TypeProfile
 {
@@ -51,27 +51,19 @@ class TypeProfile
     /** Mark the type as observed. */
     void markSeen() { seen_ = true; }
 
-    /** @return instances of this type observed so far. */
-    std::uint64_t observed() const { return observed_; }
-
-    /** Count one observed instance. */
-    void countObserved() { ++observed_; }
-
-    /** Checkpoint histories + bookkeeping (history size is fixed). */
+    /** Checkpoint histories + seen flag (history size is fixed). */
     void
     state(StateIo &io)
     {
         valid_.state(io);
         all_.state(io);
         io.flag(seen_);
-        io.pod(observed_);
     }
 
   private:
     IpcHistory valid_;
     IpcHistory all_;
     bool seen_ = false;
-    std::uint64_t observed_ = 0;
 };
 
 } // namespace tp::sampling

@@ -65,10 +65,16 @@ constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
  * is checksum64 instead of FNV-1a.
  * v4: a cache stores one 8-bit recency stamp per way and one 8-bit
  * clock per set instead of 64-bit LRU ticks and a global LRU clock.
+ * v5: each simulated fact is stored once. A detailed core keeps only
+ * its stream, pipeline clocks and ROB ring (no dependency history,
+ * task start, last-event cycle or per-task statistics); the engine
+ * drops its busy-core count and the fast cores' completion times
+ * (the event queue holds both); the sampler drops per-type instance
+ * counts and per-thread start counts nothing read.
  * An older store is version skew: its slices cold-replay once and the
  * job records afresh.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 4;
+constexpr std::uint32_t kCheckpointFormatVersion = 5;
 
 /** One recorded sample boundary. */
 struct Checkpoint

@@ -10,21 +10,21 @@
 
 namespace tp::sim {
 
-Engine::Engine(const SimConfig &config, const trace::TaskTrace &trace)
+Engine::Engine(const RunSpec &config, const trace::TaskTrace &trace)
     : config_(config), trace_(trace),
-      mem_(config.arch.memory, config.numThreads),
-      runtime_(trace, config.runtime, config.numThreads),
-      noise_(config.noise), events_(config.numThreads)
+      mem_(config.arch.memory, config.threads),
+      runtime_(trace, config.runtime, config.threads),
+      noise_(config.noise), events_(config.threads)
 {
-    if (config_.numThreads == 0)
+    if (config_.threads == 0)
         fatal("simulation needs at least one thread");
     if (config_.quantum == 0)
         fatal("quantum must be positive");
 
-    cores_.reserve(config_.numThreads);
-    for (ThreadId c = 0; c < config_.numThreads; ++c)
+    cores_.reserve(config_.threads);
+    for (ThreadId c = 0; c < config_.threads; ++c)
         cores_.emplace_back(config_.arch.core, mem_, c);
-    states_.resize(config_.numThreads);
+    states_.resize(config_.threads);
 }
 
 EngineStatus
@@ -32,12 +32,13 @@ Engine::status(Cycles now, bool counting_new_task) const
 {
     EngineStatus st;
     st.now = now;
-    st.activeCores = activeCores_ + (counting_new_task ? 1 : 0);
+    st.activeCores = static_cast<std::uint32_t>(events_.size()) +
+                     (counting_new_task ? 1 : 0);
     const std::uint64_t could_run =
         st.activeCores + runtime_.readyCount();
     st.effectiveConcurrency = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(could_run, config_.numThreads));
-    st.totalCores = config_.numThreads;
+        std::min<std::uint64_t>(could_run, config_.threads));
+    st.totalCores = config_.threads;
     st.completedTasks = runtime_.numCompleted();
     return st;
 }
@@ -80,7 +81,6 @@ Engine::startTask(ThreadId core, TaskInstanceId id, Cycles now)
     CoreState &s = states_[core];
     s.task = id;
     s.start = start;
-    ++activeCores_;
     if (decision.mode == SimMode::Detailed) {
         s.st = CoreState::St::Detailed;
         cores_[core].beginTask(type, inst, start);
@@ -90,12 +90,10 @@ Engine::startTask(ThreadId core, TaskInstanceId id, Cycles now)
         if (!(decision.fastIpc > 0.0))
             panic("fast-mode decision without a positive IPC");
         s.st = CoreState::St::Fast;
-        const double cycles = std::ceil(
-            static_cast<double>(inst.instCount) / decision.fastIpc);
-        s.finish = start + std::max<Cycles>(
-            static_cast<Cycles>(cycles), 1);
+        const auto cycles = static_cast<Cycles>(std::ceil(
+            static_cast<double>(inst.instCount) / decision.fastIpc));
         fastInstsSinceAging_ += inst.instCount;
-        events_.update(core, s.finish);
+        events_.update(core, start + std::max<Cycles>(cycles, 1));
     }
 
     if (observer_ != nullptr) {
@@ -144,8 +142,6 @@ Engine::completeTask(ThreadId core, Cycles finish)
     s.st = CoreState::St::Idle;
     s.task = kNoTaskInstance;
     events_.remove(core);
-    tp_assert(activeCores_ > 0);
-    --activeCores_;
 
     runtime_.taskCompleted(inst.id, core);
 
@@ -166,7 +162,7 @@ Engine::completeTask(ThreadId core, Cycles finish)
 void
 Engine::assignTasks(Cycles now)
 {
-    for (ThreadId c = 0; c < config_.numThreads; ++c) {
+    for (ThreadId c = 0; c < config_.threads; ++c) {
         if (states_[c].st != CoreState::St::Idle)
             continue;
         const TaskInstanceId id = runtime_.fetchTask(c);
@@ -179,7 +175,6 @@ Engine::assignTasks(Cycles now)
 void
 Engine::state(StateIo &io)
 {
-    io.pod(activeCores_);
     io.pod(lastCompletion_);
     io.pod(busyCycles_);
     io.pod(fastInstsSinceAging_);
@@ -192,12 +187,11 @@ Engine::state(StateIo &io)
         io.tag(s.st, CoreState::St::Fast, "core state tag");
         io.pod(s.task);
         io.pod(s.start);
-        io.pod(s.finish);
         if (io.loading() && s.st != CoreState::St::Idle &&
             s.task >= trace_.size())
             io.corrupt("core task id (out of range)");
     }
-    for (ThreadId c = 0; c < config_.numThreads; ++c) {
+    for (ThreadId c = 0; c < config_.threads; ++c) {
         const CoreState &s = states_[c];
         // A detailed core at a sample boundary is always mid-task;
         // on load its instruction stream is rebuilt from the trace
@@ -236,7 +230,7 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
         type_names.reserve(trace_.types().size());
         for (const trace::TaskType &t : trace_.types())
             type_names.push_back(t.name);
-        observer_->onRunBegin(config_.numThreads, type_names);
+        observer_->onRunBegin(config_.threads, type_names);
     }
     if (hooks != nullptr && hooks->restore != nullptr) {
         if (controller_ == nullptr)
@@ -318,17 +312,12 @@ Engine::run(ModeController *controller, const CheckpointHooks *hooks)
         }
         const ThreadId best = events_.top();
 
-        CoreState &s = states_[best];
-        if (s.st == CoreState::St::Fast) {
-            completeTask(best, s.finish);
+        if (states_[best].st == CoreState::St::Fast) {
+            completeTask(best, events_.topKey());
+        } else if (cores_[best].step(config_.quantum)) {
+            completeTask(best, cores_[best].finishTime());
         } else {
-            if (cores_[best].step(config_.quantum)) {
-                completeTask(best, cores_[best].finishTime());
-            } else {
-                events_.update(
-                    best,
-                    std::max(cores_[best].localNow(), s.start));
-            }
+            events_.update(best, cores_[best].localNow());
         }
     }
 

@@ -37,11 +37,15 @@ namespace tp::sim {
 
 class TraceObserver;
 
-/** Full configuration of one simulation. */
-struct SimConfig
+/**
+ * Full configuration of one simulation: the simulated machine and
+ * runtime. Plans and the experiment binaries name it
+ * harness::RunSpec.
+ */
+struct RunSpec
 {
     cpu::ArchConfig arch;
-    std::uint32_t numThreads = 8;
+    std::uint32_t threads = 8;
     rt::RuntimeConfig runtime;
     /**
      * Instructions per detailed-core scheduling quantum. Must stay
@@ -51,9 +55,9 @@ struct SimConfig
      * serialize contention and inflate queueing delays.
      */
     InstCount quantum = 1024;
-    NoiseConfig noise;
     /** Keep per-instance TaskRecords (Figs. 1/5 need them). */
-    bool recordTasks = true;
+    bool recordTasks = false;
+    NoiseConfig noise;
 };
 
 /** See file comment. */
@@ -64,7 +68,7 @@ class Engine
      * @param config simulated machine + runtime parameters
      * @param trace  application to simulate (not owned; must outlive)
      */
-    Engine(const SimConfig &config, const trace::TaskTrace &trace);
+    Engine(const RunSpec &config, const trace::TaskTrace &trace);
 
     /**
      * Attach a trace observer (sim/trace_observer.hh) receiving task
@@ -102,14 +106,17 @@ class Engine
     void state(StateIo &io);
 
   private:
-    /** Execution state of one simulated core. */
+    /**
+     * Execution state of one simulated core. A fast core's
+     * completion time is its key in events_; a detailed core's
+     * progress lives in its RobCore.
+     */
     struct CoreState
     {
         enum class St : std::uint8_t { Idle, Detailed, Fast };
         St st = St::Idle;
         TaskInstanceId task = kNoTaskInstance;
-        Cycles start = 0;  //!< task start (after dispatch overhead)
-        Cycles finish = 0; //!< fast-mode completion time
+        Cycles start = 0; //!< task start (after dispatch overhead)
     };
 
     /** Assign ready tasks to idle cores at time `now`. */
@@ -127,7 +134,7 @@ class Engine
     /** @return snapshot for controller callbacks. */
     EngineStatus status(Cycles now, bool counting_new_task) const;
 
-    SimConfig config_;
+    RunSpec config_;
     const trace::TaskTrace &trace_;
     mem::Hierarchy mem_;
     rt::RuntimeModel runtime_;
@@ -146,8 +153,6 @@ class Engine
      * completeTask / the run loop; idle cores are absent.
      */
     CoreEventQueue events_;
-    /** Busy cores, maintained incrementally (= events_.size()). */
-    std::uint32_t activeCores_ = 0;
     Rng jitterRng_{0x7a5c0ffee};
 
     SimResult result_;

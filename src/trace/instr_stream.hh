@@ -62,9 +62,6 @@ class InstrStream
     /** @return instructions produced so far. */
     InstCount produced() const { return produced_; }
 
-    /** @return total instructions this stream will produce. */
-    InstCount total() const { return total_; }
-
     /** @return true when all instructions have been produced. */
     bool done() const { return produced_ >= total_; }
 

@@ -109,11 +109,12 @@ withVersion(std::string blob, std::uint32_t version, bool seal)
 
 TEST(CheckpointEnvelope, VersionSkewIsRecoverable)
 {
-    // A newer build's blob, one from before 8-bit recency stamps,
-    // one from before run-length encoded blocks and one from before
-    // anonymous junk lines.
+    // A newer build's blob, one from before each simulated fact was
+    // stored once, one from before 8-bit recency stamps, one from
+    // before run-length encoded blocks and one from before anonymous
+    // junk lines.
     for (const std::uint32_t skewed :
-         {sim::kCheckpointFormatVersion + 1, 3u, 2u, 1u}) {
+         {sim::kCheckpointFormatVersion + 1, 4u, 3u, 2u, 1u}) {
         try {
             sim::deserializeCheckpoint(
                 withVersion(sim::serializeCheckpoint(sampleCheckpoint()),
@@ -559,8 +560,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
     cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
     cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
     const Pinned pinned[] = {
-        {histogram, {0x0aa4c16f6e5f829cULL}},
-        {cholesky, {0xaa15692aab809149ULL}},
+        {histogram, {0xe155f0317b9bb806ULL}},
+        {cholesky, {0x6a3f743b70a4ca07ULL}},
     };
 
     for (const Pinned &p : pinned) {
@@ -610,7 +611,7 @@ std::vector<std::size_t>
 blockTokenHeaders(const sim::Checkpoint &cp, const JobSpec &job,
                   const trace::TaskTrace &trace)
 {
-    sim::SimConfig cfg = makeSimConfig(job.spec);
+    RunSpec cfg = job.spec;
     cfg.noise.enabled = false;
     sim::Engine engine(cfg, trace);
     sampling::TaskPointController controller(trace, job.sampling);

@@ -39,7 +39,7 @@ spec(std::uint32_t threads,
 
 TEST(Integration, QuantumSizeBarelyChangesResults)
 {
-    // The quantum must stay well below the task size (see SimConfig)
+    // The quantum must stay well below the task size (see RunSpec)
     // so cores interleave within tasks. The interleaving is
     // approximate, so granularity shifts contention ordering by a
     // bounded amount — well under the 50%+ swing whole-task quanta

@@ -35,12 +35,13 @@ parallelTrace(std::size_t n_tasks, InstCount insts = 8000)
     return b.build();
 }
 
-SimConfig
+RunSpec
 baseConfig(std::uint32_t threads)
 {
-    SimConfig cfg;
+    RunSpec cfg;
     cfg.arch = cpu::highPerformanceConfig();
-    cfg.numThreads = threads;
+    cfg.threads = threads;
+    cfg.recordTasks = true;
     return cfg;
 }
 
@@ -125,7 +126,7 @@ TEST(Engine, DependencySerializationShowsInMakespan)
 TEST(Engine, RecordsCanBeDisabled)
 {
     const trace::TaskTrace t = parallelTrace(10);
-    SimConfig cfg = baseConfig(2);
+    RunSpec cfg = baseConfig(2);
     cfg.recordTasks = false;
     Engine e(cfg, t);
     EXPECT_TRUE(e.run().tasks.empty());
@@ -142,7 +143,7 @@ TEST(Engine, RejectsSecondRun)
 TEST(Engine, RejectsBadConfig)
 {
     const trace::TaskTrace t = parallelTrace(4);
-    SimConfig cfg = baseConfig(0);
+    RunSpec cfg = baseConfig(0);
     EXPECT_THROW(Engine(cfg, t), SimError);
     cfg = baseConfig(2);
     cfg.quantum = 0;
@@ -177,7 +178,7 @@ TEST(Engine, FastModeHonoursRequestedIpc)
 {
     const InstCount insts = 10000;
     const trace::TaskTrace t = parallelTrace(1, insts);
-    SimConfig cfg = baseConfig(1);
+    RunSpec cfg = baseConfig(1);
     Engine e(cfg, t);
     AllFastController ctl(2.0);
     const SimResult r = e.run(&ctl);
