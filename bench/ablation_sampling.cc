@@ -39,20 +39,6 @@ const std::vector<rt::SchedulerKind> kSchedulers = {
     rt::SchedulerKind::Fifo, rt::SchedulerKind::WorkStealing,
     rt::SchedulerKind::Locality};
 
-const char *
-schedName(rt::SchedulerKind s)
-{
-    switch (s) {
-      case rt::SchedulerKind::Fifo:
-        return "fifo";
-      case rt::SchedulerKind::WorkStealing:
-        return "steal";
-      case rt::SchedulerKind::Locality:
-        return "locality";
-    }
-    return "?";
-}
-
 harness::RunSpec
 baseSpec(rt::SchedulerKind sched)
 {
@@ -90,7 +76,7 @@ main(int argc, char **argv)
         for (rt::SchedulerKind sched : kSchedulers) {
             harness::JobSpec j;
             j.label = name + " reference (" +
-                      std::string(schedName(sched)) + ")";
+                      std::string(rt::toString(sched)) + ")";
             j.workload = name;
             j.workloadParams = wp;
             j.spec = baseSpec(sched);
@@ -132,7 +118,7 @@ main(int argc, char **argv)
                         rt::SchedulerKind::Fifo});
     }
     for (rt::SchedulerKind sched : kSchedulers) {
-        rows.push_back({3, schedName(sched),
+        rows.push_back({3, rt::toString(sched),
                         sampling::SamplingParams::lazy(), sched});
     }
     // The adaptive frontier: fixed policies vs. the variance-aware

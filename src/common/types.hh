@@ -55,6 +55,18 @@ inline constexpr TaskTypeId kNoTaskType =
 inline constexpr std::uint64_t kInfinitePeriod =
     std::numeric_limits<std::uint64_t>::max();
 
+/**
+ * The synthetic address-space layout, one definition for the trace
+ * generators that place data and the memory hierarchy that tracks
+ * coherence. Task types' shared regions start at kSharedRegionBase
+ * (trace::sharedRegionBase); per-instance private regions start at
+ * kPrivateRegionBase. Only [kSharedRegionBase, kPrivateRegionBase)
+ * is coherence-tracked: a private region is accessed by exactly one
+ * task at a time.
+ */
+inline constexpr Addr kSharedRegionBase = 1ULL << 40;
+inline constexpr Addr kPrivateRegionBase = 1ULL << 44;
+
 } // namespace tp
 
 #endif // TP_COMMON_TYPES_HH

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/binary_io.hh"
 #include "common/hash.hh"
@@ -13,6 +14,28 @@ namespace {
 
 constexpr std::uint64_t kPlanMagic = 0x5450504c414e3101ULL; // TPPLAN1.
 
+/**
+ * A retired setting: a field the simulator no longer has, kept in
+ * the plan at the one value every run used, so plan bytes, digests
+ * and cache keys do not move. A plan holding any other value asks
+ * for a machine this build does not simulate and fails to load.
+ */
+template <typename T>
+void
+retired(StateIo &io, T value, const char *setting)
+{
+    T stored = value;
+    if constexpr (std::is_same_v<T, bool>)
+        io.flag(stored);
+    else
+        io.pod(stored);
+    if (stored != value)
+        io.corrupt((std::string("retired setting '") + setting +
+                    "' (only " + std::to_string(value) +
+                    " is simulated)")
+                       .c_str());
+}
+
 void
 fields(StateIo &io, mem::CacheConfig &c)
 {
@@ -21,7 +44,7 @@ fields(StateIo &io, mem::CacheConfig &c)
     io.pod(c.lineBytes);
     io.pod(c.latency);
     io.pod(c.servicePeriod);
-    io.flag(c.scanResistantInsert);
+    retired(io, false, "scan-resistant insertion");
 }
 
 void
@@ -37,9 +60,9 @@ fields(StateIo &io, mem::MemoryConfig &m)
     io.pod(m.dram.channels);
     io.pod(m.upgradeLatency);
     io.pod(m.busServicePeriod);
-    io.pod(m.coherentBase);
-    io.pod(m.coherentEnd);
-    io.flag(m.streamPrefetch);
+    retired(io, kSharedRegionBase, "coherence window base");
+    retired(io, kPrivateRegionBase, "coherence window end");
+    retired(io, true, "stream prefetch switch");
     io.pod(m.prefetchDegree);
 }
 
@@ -65,7 +88,7 @@ fields(StateIo &io, RunSpec &spec)
     io.tag(spec.runtime.scheduler, rt::SchedulerKind::Locality,
            "scheduler kind");
     io.pod(spec.runtime.dispatchOverhead);
-    io.pod(spec.runtime.dispatchJitter);
+    retired(io, Cycles{0}, "dispatch jitter");
     io.pod(spec.runtime.seed);
     io.pod(spec.quantum);
     io.flag(spec.recordTasks);

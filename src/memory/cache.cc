@@ -117,7 +117,7 @@ Cache::fill(Addr addr)
             ++stats_.writebacks;
     }
     set_tags[victim] = want;
-    set_stamps[victim] = config_.scanResistantInsert ? 0 : newStamp(set);
+    set_stamps[victim] = newStamp(set);
     ++stats_.prefetchFills;
 }
 
@@ -158,12 +158,9 @@ Cache::ageLines(std::uint64_t lines)
     lines = std::min<std::uint64_t>(lines, tags_.size());
     if (lines == 0)
         return;
-    // Scan-resistant caches give every junk line its own stamp (see
-    // the header comment).
-    const bool per_line = config_.scanResistantInsert;
     // The cursor still advances by `lines`: it decides which sets a
     // later partial aging hits.
-    if (lines == tags_.size() && !per_line) {
+    if (lines == tags_.size()) {
         // Every way is replaced, whatever the cursor.
         std::fill(tags_.begin(), tags_.end(), kJunkWord);
         std::fill(stamps_.begin(), stamps_.end(), 1);
@@ -176,25 +173,11 @@ Cache::ageLines(std::uint64_t lines)
         const std::size_t base = set * config_.assoc;
         std::uint64_t *const set_tags = &tags_[base];
         std::uint8_t *const set_stamps = &stamps_[base];
-        // First invalid way, else first strict-minimum stamp (the
-        // original scan's break-on-invalid order). Not victimWay's
-        // rule: with way 0 invalid this takes a later invalid way,
-        // and a scan-resistant cache's later ties depend on which.
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 1; w < config_.assoc; ++w) {
-            if (!validWord(set_tags[w])) {
-                victim = w;
-                break;
-            }
-            if (validWord(set_tags[victim]) &&
-                set_stamps[w] < set_stamps[victim])
-                victim = w;
-        }
+        const std::uint32_t victim = victimWay(set_tags, set_stamps);
         set_tags[victim] = kJunkWord;
         // The cursor visits every set once in the first numSets_
         // lines, so a later visit reuses the set's newest stamp.
-        set_stamps[victim] =
-            per_line || i < numSets_ ? newStamp(set) : clocks_[set];
+        set_stamps[victim] = i < numSets_ ? newStamp(set) : clocks_[set];
     }
 }
 

@@ -33,16 +33,6 @@ struct CacheConfig
      * *shared* level (bandwidth model); 0 disables contention.
      */
     Cycles servicePeriod = 0;
-    /**
-     * Scan-resistant insertion (LIP): lines filled on a miss are
-     * inserted at the LRU position and only promoted on a hit, so
-     * streaming data cannot displace the resident hot set. Modern
-     * LLC replacement (DRRIP-family) behaves this way. Both Table II
-     * configurations use plain LRU at every level (cpu/arch_config);
-     * LIP is reached only through a plan's serialized CacheConfig
-     * and the tests.
-     */
-    bool scanResistantInsert = false;
 };
 
 /** Hit/miss statistics of one cache. */
@@ -144,9 +134,8 @@ class Cache
      * it never hits, and it is always clean. Only its validity and
      * LRU position can affect a result, and two junk lines are
      * interchangeable: which junk way a miss evicts is invisible to
-     * hits, misses, evictions, writebacks and occupancy (see
-     * ageLines for the one exception). That makes prepollution two
-     * fills of the tag and stamp arrays.
+     * hits, misses, evictions, writebacks and occupancy. That makes
+     * prepollution two fills of the tag and stamp arrays.
      */
     void prepollute();
 
@@ -164,17 +153,11 @@ class Cache
      * guaranteed, since junk lines are interchangeable. A call that
      * replaces every way — the usual case after a long fast-forward
      * — is therefore three array fills: every way junk, and every
-     * stamp and every clock 1. A partial call keeps the victim rule
-     * and set order of one insertion at a time. `lines == 0` changes
-     * nothing.
-     *
-     * A scan-resistant cache is the exception: it gives each junk
-     * line its own new stamp and always takes the one-at-a-time
-     * path. Its misses insert at stamp 0, so once an invalidation
-     * frees a way two real lines can tie, and then way order decides
-     * which one goes. A shared stamp would make misses take junk ways
-     * in way order rather than insertion order, placing real lines
-     * in other ways and changing that outcome.
+     * stamp and every clock 1. A partial call inserts one line at a
+     * time in set order, each into its set's victimWay. Every real
+     * line holds a stamp of its own, so only junk lines (or invalid
+     * ways) can tie, and which of them a junk line displaces is
+     * invisible too. `lines == 0` changes nothing.
      *
      * Used when leaving fast-forward mode: state frozen during fast
      * simulation is artificially warm; aging reconstructs the churn
@@ -232,13 +215,13 @@ class Cache
      *
      * Recency is per set, because every replacement decision
      * compares stamps within one set: a higher stamp is more recent,
-     * equal stamps tie, and 0 (a prepolluted line or a scan-resistant
-     * insertion) is the oldest. A touch takes `++clock` of its set
-     * (newStamp), so every stamp is at most its set's clock. Before
-     * a clock passes 255, renumber maps the set's nonzero stamps to
-     * 1..m, keeping their order and ties, and the clock becomes m;
-     * zeros stay 0. Each decision is therefore the one a global
-     * 64-bit tick per way would make.
+     * equal stamps tie, and 0 (a prepolluted line) is the oldest.
+     * Every hit and fill takes `++clock` of its set (newStamp), so
+     * every stamp is at most its set's clock and no two real lines
+     * tie. Before a clock passes 255, renumber maps the set's nonzero
+     * stamps to 1..m, keeping their order and ties, and the clock
+     * becomes m; zeros stay 0. Each decision is therefore the one a
+     * global 64-bit tick per way would make.
      */
     static constexpr std::uint64_t kValidBit = 1;
     static constexpr std::uint64_t kDirtyBit = 2;
@@ -363,7 +346,7 @@ Cache::access(Addr addr, bool is_write)
         }
     }
     set_tags[victim] = want | (is_write ? kDirtyBit : 0);
-    set_stamps[victim] = config_.scanResistantInsert ? 0 : newStamp(set);
+    set_stamps[victim] = newStamp(set);
     return out;
 }
 

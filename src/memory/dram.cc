@@ -21,28 +21,11 @@ Dram::access(Addr addr, Cycles now)
     const std::size_t ch =
         static_cast<std::size_t>((addr >> 6) % channels_.size());
     const Cycles queue = channels_[ch].request(now);
-    return config_.latency + queue;
-}
-
-std::uint64_t
-Dram::requests() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ch : channels_)
-        total += ch.requests();
-    return total;
-}
-
-double
-Dram::meanQueueDelay() const
-{
-    std::uint64_t reqs = 0;
-    Cycles queue = 0;
-    for (const auto &ch : channels_) {
-        reqs += ch.requests();
-        queue += ch.totalQueueCycles();
+    if (config_.servicePeriod != 0) {
+        ++requests_;
+        queueCycles_ += queue;
     }
-    return reqs ? double(queue) / double(reqs) : 0.0;
+    return config_.latency + queue;
 }
 
 } // namespace tp::mem

@@ -24,7 +24,8 @@ namespace tp::mem {
  *
  * Requests arriving while the port is busy queue up: the returned
  * delay is the wait until the port is free. Used for shared caches,
- * the memory bus and DRAM channels.
+ * the memory bus and DRAM channels. A port only keeps its
+ * reservation; Dram counts its own traffic.
  */
 class ServicePort
 {
@@ -41,42 +42,17 @@ class ServicePort
     {
         if (period_ == 0)
             return 0;
-        ++requests_;
         const Cycles start = now > nextFree_ ? now : nextFree_;
         nextFree_ = start + period_;
-        const Cycles delay = start - now;
-        totalQueueCycles_ += delay;
-        return delay;
+        return start - now;
     }
 
-    /** @return total requests served. */
-    std::uint64_t requests() const { return requests_; }
-
-    /** @return cumulative queueing cycles over all requests. */
-    Cycles totalQueueCycles() const { return totalQueueCycles_; }
-
-    /** @return mean queueing delay per request. */
-    double
-    meanQueueDelay() const
-    {
-        return requests_ ? double(totalQueueCycles_) / double(requests_)
-                         : 0.0;
-    }
-
-    /** Checkpoint reservation + counter state (period is fixed). */
-    void
-    state(StateIo &io)
-    {
-        io.pod(nextFree_);
-        io.pod(requests_);
-        io.pod(totalQueueCycles_);
-    }
+    /** Checkpoint the reservation (period is fixed). */
+    void state(StateIo &io) { io.pod(nextFree_); }
 
   private:
     Cycles period_;
     Cycles nextFree_ = 0;
-    std::uint64_t requests_ = 0;
-    Cycles totalQueueCycles_ = 0;
 };
 
 /** DRAM timing configuration. */
@@ -101,26 +77,41 @@ class Dram
      */
     Cycles access(Addr addr, Cycles now);
 
-    /** @return total requests across channels. */
-    std::uint64_t requests() const;
+    /**
+     * @return requests served across channels (none are counted
+     * when the service period is 0)
+     */
+    std::uint64_t requests() const { return requests_; }
 
-    /** @return mean queueing delay across channels. */
-    double meanQueueDelay() const;
+    /** @return mean queueing delay per counted request. */
+    double
+    meanQueueDelay() const
+    {
+        return requests_ ? double(queueCycles_) / double(requests_)
+                         : 0.0;
+    }
 
     /** @return configuration. */
     const DramConfig &config() const { return config_; }
 
-    /** Checkpoint every channel's state (channel count is fixed). */
+    /**
+     * Checkpoint every channel's reservation (channel count is
+     * fixed) and the counters.
+     */
     void
     state(StateIo &io)
     {
         for (ServicePort &p : channels_)
             p.state(io);
+        io.pod(requests_);
+        io.pod(queueCycles_);
     }
 
   private:
     DramConfig config_;
     std::vector<ServicePort> channels_;
+    std::uint64_t requests_ = 0;
+    Cycles queueCycles_ = 0; //!< summed over counted requests
 };
 
 } // namespace tp::mem

@@ -105,7 +105,7 @@ Hierarchy::access(ThreadId core, Addr addr, bool is_write, Cycles now)
     tp_assert(core < l1s_.size());
 
     const bool coherent =
-        addr >= config_.coherentBase && addr < config_.coherentEnd;
+        addr >= kSharedRegionBase && addr < kPrivateRegionBase;
 
     Cycles lat = config_.l1.latency;
     HitLevel level = HitLevel::L1;
@@ -123,8 +123,7 @@ Hierarchy::access(ThreadId core, Addr addr, bool is_write, Cycles now)
         l2Of_[core]->hostPrefetch(addr);
         if (l3_)
             l3_->hostPrefetch(addr);
-        if (config_.streamPrefetch)
-            notifyMiss(core, addr);
+        notifyMiss(core, addr);
         // Below-L1 traffic crosses the interconnect.
         lat += bus_.request(now + lat);
 

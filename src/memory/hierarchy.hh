@@ -4,9 +4,10 @@
  *
  * Composes per-core L1s, private or shared L2s, an optional shared L3
  * and DRAM, with write-invalidate coherence between private caches
- * (tracked by a sharers directory over shared-region lines) and
- * bandwidth contention at every shared level. The detailed CPU model
- * resolves every memory instruction through Hierarchy::access().
+ * (tracked by a sharers directory over shared-region lines, see the
+ * address layout in common/types.hh) and bandwidth contention at
+ * every shared level. The detailed CPU model resolves every memory
+ * instruction through Hierarchy::access().
  */
 
 #ifndef TP_MEMORY_HIERARCHY_HH
@@ -47,18 +48,10 @@ struct MemoryConfig
     /** Cycles per request on the shared interconnect below L1. */
     Cycles busServicePeriod = 1;
     /**
-     * Address window subject to coherence tracking. Only the trace's
-     * shared regions live here; per-instance private regions are
-     * accessed by exactly one task at a time and need no coherence.
-     */
-    Addr coherentBase = 1ULL << 40;
-    Addr coherentEnd = 1ULL << 44;
-    /**
      * Per-core stream prefetcher: after two consecutive L1 misses
      * with the same line-stride, prefetch `prefetchDegree` lines
      * ahead into L1/L2/L3 (idealized: no bandwidth charge).
      */
-    bool streamPrefetch = true;
     std::uint32_t prefetchDegree = 2;
 };
 
@@ -125,11 +118,11 @@ class Hierarchy
 
     /**
      * Checkpoint the complete warm state: every cache's tag, stamp
-     * and clock arrays, all port and DRAM reservations, the sharers
-     * directory, the coherence counter and the per-core prefetcher
-     * detectors. Geometry (configuration, core count) is not
-     * serialized; the restoring hierarchy must be constructed
-     * identically. Throws IoError on mismatch.
+     * and clock arrays, all port and DRAM reservations, DRAM's
+     * counters, the sharers directory, the coherence counter and the
+     * per-core prefetcher detectors. Geometry (configuration, core
+     * count) is not serialized; the restoring hierarchy must be
+     * constructed identically. Throws IoError on mismatch.
      */
     void state(StateIo &io);
 

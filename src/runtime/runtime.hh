@@ -26,14 +26,7 @@ struct RuntimeConfig
     SchedulerKind scheduler = SchedulerKind::Fifo;
     /** Cycles of runtime work per task dispatch (scheduling cost). */
     Cycles dispatchOverhead = 200;
-    /**
-     * Upper bound of the uniform per-dispatch jitter (cycles); 0
-     * disables. Models runtimes that do not release worker threads
-     * in lock-step. Off by default: it perturbs scheduling order
-     * between reference and sampled runs and increases error noise.
-     */
-    Cycles dispatchJitter = 0;
-    /** RNG seed for scheduling tie-breaks and dispatch jitter. */
+    /** Seed of the work-stealing scheduler's steal-victim RNG. */
     std::uint64_t seed = 12345;
 };
 
@@ -65,9 +58,6 @@ class RuntimeModel
     /** @return true when every instance completed. */
     bool allDone() const { return tracker_.allDone(); }
 
-    /** @return true when no eligible task is queued. */
-    bool queueEmpty() const { return scheduler_->empty(); }
-
     /** @return number of eligible tasks waiting for a thread. */
     std::size_t readyCount() const { return scheduler_->size(); }
 
@@ -82,9 +72,6 @@ class RuntimeModel
     {
         return config_.dispatchOverhead;
     }
-
-    /** @return the scheduler (for introspection in tests). */
-    const Scheduler &scheduler() const { return *scheduler_; }
 
     /** Checkpoint dependency + scheduler state (trace/config fixed). */
     void

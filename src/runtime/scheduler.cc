@@ -16,8 +16,6 @@ queueState(StateIo &io, std::deque<TaskInstanceId> &q)
 
 } // namespace
 
-FifoScheduler::FifoScheduler() : name_("fifo") {}
-
 void
 FifoScheduler::taskReady(TaskInstanceId id, ThreadId hint)
 {
@@ -36,12 +34,6 @@ FifoScheduler::nextTask(ThreadId thread)
     return id;
 }
 
-bool
-FifoScheduler::empty() const
-{
-    return queue_.empty();
-}
-
 void
 FifoScheduler::state(StateIo &io)
 {
@@ -50,7 +42,7 @@ FifoScheduler::state(StateIo &io)
 
 WorkStealingScheduler::WorkStealingScheduler(std::uint32_t num_threads,
                                              std::uint64_t seed)
-    : name_("steal"), deques_(num_threads), rng_(seed)
+    : deques_(num_threads), rng_(seed)
 {
     tp_assert(num_threads > 0);
 }
@@ -91,12 +83,6 @@ WorkStealingScheduler::nextTask(ThreadId thread)
     panic("work-stealing bookkeeping out of sync");
 }
 
-bool
-WorkStealingScheduler::empty() const
-{
-    return queued_ == 0;
-}
-
 void
 WorkStealingScheduler::state(StateIo &io)
 {
@@ -111,7 +97,7 @@ WorkStealingScheduler::state(StateIo &io)
 }
 
 LocalityScheduler::LocalityScheduler(std::uint32_t num_threads)
-    : name_("locality"), local_(num_threads)
+    : local_(num_threads)
 {
     tp_assert(num_threads > 0);
 }
@@ -165,24 +151,26 @@ LocalityScheduler::size() const
     return n;
 }
 
-bool
-LocalityScheduler::empty() const
-{
-    if (!global_.empty())
-        return false;
-    for (const auto &q : local_) {
-        if (!q.empty())
-            return false;
-    }
-    return true;
-}
-
 void
 LocalityScheduler::state(StateIo &io)
 {
     for (auto &q : local_)
         queueState(io, q);
     queueState(io, global_);
+}
+
+const char *
+toString(SchedulerKind kind)
+{
+    switch (kind) {
+      case SchedulerKind::Fifo:
+        return "fifo";
+      case SchedulerKind::WorkStealing:
+        return "steal";
+      case SchedulerKind::Locality:
+        return "locality";
+    }
+    panic("unreachable scheduler kind");
 }
 
 std::unique_ptr<Scheduler>
@@ -199,19 +187,6 @@ makeScheduler(SchedulerKind kind, std::uint32_t num_threads,
         return std::make_unique<LocalityScheduler>(num_threads);
     }
     panic("unreachable scheduler kind");
-}
-
-SchedulerKind
-schedulerKindByName(const std::string &name)
-{
-    if (name == "fifo")
-        return SchedulerKind::Fifo;
-    if (name == "steal")
-        return SchedulerKind::WorkStealing;
-    if (name == "locality")
-        return SchedulerKind::Locality;
-    fatal("unknown scheduler '%s' (fifo|steal|locality)",
-          name.c_str());
 }
 
 } // namespace tp::rt

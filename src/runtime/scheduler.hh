@@ -20,7 +20,6 @@
 
 #include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/binary_io.hh"
@@ -49,14 +48,8 @@ class Scheduler
      */
     virtual TaskInstanceId nextTask(ThreadId thread) = 0;
 
-    /** @return true if no task is queued anywhere. */
-    virtual bool empty() const = 0;
-
     /** @return number of queued (eligible, unassigned) tasks. */
     virtual std::size_t size() const = 0;
-
-    /** @return policy name for reporting. */
-    virtual const std::string &name() const = 0;
 
     /**
      * Checkpoint the queue contents (and any tie-break RNG state).
@@ -70,17 +63,12 @@ class Scheduler
 class FifoScheduler : public Scheduler
 {
   public:
-    FifoScheduler();
-
     void taskReady(TaskInstanceId id, ThreadId hint) override;
     TaskInstanceId nextTask(ThreadId thread) override;
-    bool empty() const override;
     std::size_t size() const override { return queue_.size(); }
-    const std::string &name() const override { return name_; }
     void state(StateIo &io) override;
 
   private:
-    std::string name_;
     std::deque<TaskInstanceId> queue_;
 };
 
@@ -97,13 +85,10 @@ class WorkStealingScheduler : public Scheduler
 
     void taskReady(TaskInstanceId id, ThreadId hint) override;
     TaskInstanceId nextTask(ThreadId thread) override;
-    bool empty() const override;
     std::size_t size() const override { return queued_; }
-    const std::string &name() const override { return name_; }
     void state(StateIo &io) override;
 
   private:
-    std::string name_;
     std::vector<std::deque<TaskInstanceId>> deques_;
     Rng rng_;
     std::size_t queued_ = 0;
@@ -117,13 +102,10 @@ class LocalityScheduler : public Scheduler
 
     void taskReady(TaskInstanceId id, ThreadId hint) override;
     TaskInstanceId nextTask(ThreadId thread) override;
-    bool empty() const override;
     std::size_t size() const override;
-    const std::string &name() const override { return name_; }
     void state(StateIo &io) override;
 
   private:
-    std::string name_;
     std::vector<std::deque<TaskInstanceId>> local_;
     std::deque<TaskInstanceId> global_;
 };
@@ -131,13 +113,13 @@ class LocalityScheduler : public Scheduler
 /** Scheduler policy selector. */
 enum class SchedulerKind { Fifo, WorkStealing, Locality };
 
+/** @return the policy's report name: "fifo", "steal" or "locality". */
+const char *toString(SchedulerKind kind);
+
 /** Build a scheduler. */
 std::unique_ptr<Scheduler>
 makeScheduler(SchedulerKind kind, std::uint32_t num_threads,
               std::uint64_t seed);
-
-/** Parse a scheduler name ("fifo", "steal", "locality"). */
-SchedulerKind schedulerKindByName(const std::string &name);
 
 } // namespace tp::rt
 

@@ -315,10 +315,8 @@ TaskPointController::decideTask(const trace::TaskInstance &inst,
 void
 TaskPointController::taskFinished(const trace::TaskInstance &inst,
                                   ThreadId thread, sim::SimMode mode,
-                                  double ipc,
-                                  const sim::EngineStatus &status)
+                                  double ipc)
 {
-    (void)status;
     if (thread >= threads_.size()) {
         threads_.resize(thread + 1);
         inFlight_.resize(thread + 1, 0);

@@ -191,8 +191,7 @@ class TaskPointController : public sim::ModeController
         override;
 
     void taskFinished(const trace::TaskInstance &inst, ThreadId thread,
-                      sim::SimMode mode, double ipc,
-                      const sim::EngineStatus &status) override;
+                      sim::SimMode mode, double ipc) override;
 
     /** @return current phase. */
     Phase phase() const { return phase_; }

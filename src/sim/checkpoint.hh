@@ -71,10 +71,14 @@ constexpr std::uint64_t kCheckpointMagic = 0x5450434b50543101ULL;
  * drops its busy-core count and the fast cores' completion times
  * (the event queue holds both); the sampler drops per-type instance
  * counts and per-thread start counts nothing read.
+ * v6: the simulator's unvaried settings are retired. The engine drops
+ * the dispatch-jitter RNG; the bus, shared-L2 and L3 ports keep only
+ * their reservation; DRAM stores one request total and one
+ * queue-cycle total instead of a pair per channel.
  * An older store is version skew: its slices cold-replay once and the
  * job records afresh.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 5;
+constexpr std::uint32_t kCheckpointFormatVersion = 6;
 
 /** One recorded sample boundary. */
 struct Checkpoint

@@ -28,18 +28,15 @@ Engine::Engine(const RunSpec &config, const trace::TaskTrace &trace)
 }
 
 EngineStatus
-Engine::status(Cycles now, bool counting_new_task) const
+Engine::status(Cycles now) const
 {
+    // Busy cores, the one being assigned and the queued tasks.
+    const std::uint64_t could_run =
+        events_.size() + 1 + runtime_.readyCount();
     EngineStatus st;
     st.now = now;
-    st.activeCores = static_cast<std::uint32_t>(events_.size()) +
-                     (counting_new_task ? 1 : 0);
-    const std::uint64_t could_run =
-        st.activeCores + runtime_.readyCount();
     st.effectiveConcurrency = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(could_run, config_.threads));
-    st.totalCores = config_.threads;
-    st.completedTasks = runtime_.numCompleted();
     return st;
 }
 
@@ -62,16 +59,11 @@ Engine::startTask(ThreadId core, TaskInstanceId id, Cycles now)
 {
     const trace::TaskInstance &inst = trace_.instance(id);
     const trace::TaskType &type = trace_.type(inst.type);
-    Cycles start = now + runtime_.dispatchOverhead();
-    if (config_.runtime.dispatchJitter > 0) {
-        start +=
-            jitterRng_.nextBounded(config_.runtime.dispatchJitter);
-    }
+    const Cycles start = now + runtime_.dispatchOverhead();
 
     ModeDecision decision; // default: detailed
     if (controller_ != nullptr)
-        decision = controller_->decideTask(inst, core,
-                                           status(now, true));
+        decision = controller_->decideTask(inst, core, status(now));
 
     if (decision.reconstructState) {
         mem_.applyFastForwardAging(fastInstsSinceAging_);
@@ -99,7 +91,6 @@ Engine::startTask(ThreadId core, TaskInstanceId id, Cycles now)
     if (observer_ != nullptr) {
         pollObserverPhase(now); // decideTask may have moved the phase
         observer_->onTaskScheduled(core, id, now);
-        observer_->onTaskStart(core, inst, start, decision.mode);
     }
 }
 
@@ -145,10 +136,8 @@ Engine::completeTask(ThreadId core, Cycles finish)
 
     runtime_.taskCompleted(inst.id, core);
 
-    if (controller_ != nullptr) {
-        controller_->taskFinished(inst, core, mode, ipc,
-                                  status(finish, false));
-    }
+    if (controller_ != nullptr)
+        controller_->taskFinished(inst, core, mode, ipc);
 
     if (observer_ != nullptr) {
         pollObserverPhase(finish); // taskFinished may move the phase
@@ -182,7 +171,6 @@ Engine::state(StateIo &io)
     io.pod(result_.fastTasks);
     io.pod(result_.detailedInsts);
     io.pod(result_.fastInsts);
-    jitterRng_.state(io);
     for (CoreState &s : states_) {
         io.tag(s.st, CoreState::St::Fast, "core state tag");
         io.pod(s.task);

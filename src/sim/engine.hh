@@ -20,7 +20,6 @@
 
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/types.hh"
 #include "cpu/arch_config.hh"
 #include "cpu/rob_core.hh"
@@ -131,8 +130,11 @@ class Engine
     /** Emit onPhaseChange if the controller's phase moved. */
     void pollObserverPhase(Cycles at);
 
-    /** @return snapshot for controller callbacks. */
-    EngineStatus status(Cycles now, bool counting_new_task) const;
+    /**
+     * @return snapshot for decideTask, counting the task being
+     * assigned as running.
+     */
+    EngineStatus status(Cycles now) const;
 
     RunSpec config_;
     const trace::TaskTrace &trace_;
@@ -153,7 +155,6 @@ class Engine
      * completeTask / the run loop; idle cores are absent.
      */
     CoreEventQueue events_;
-    Rng jitterRng_{0x7a5c0ffee};
 
     SimResult result_;
     Cycles lastCompletion_ = 0;

@@ -19,22 +19,19 @@
 
 namespace tp::sim {
 
-/** Engine state snapshot passed to controller callbacks. */
+/** Engine state snapshot passed to decideTask. */
 struct EngineStatus
 {
     Cycles now = 0;
-    /** Cores executing a task, including the one being (re)assigned. */
-    std::uint32_t activeCores = 0;
     /**
-     * Threads that *could* be executing right now: active cores plus
-     * eligible tasks still waiting for assignment, capped at the
-     * core count. This is the paper's "number of threads
-     * participating in task execution" without the instantaneous
-     * assignment ramp right after a barrier opens.
+     * Threads that *could* be executing right now: cores executing a
+     * task (the one being assigned included) plus eligible tasks
+     * still waiting for assignment, capped at the core count. This is
+     * the paper's "number of threads participating in task execution"
+     * without the instantaneous assignment ramp right after a barrier
+     * opens.
      */
     std::uint32_t effectiveConcurrency = 0;
-    std::uint32_t totalCores = 0;
-    std::uint64_t completedTasks = 0;
 };
 
 /** Controller verdict for one task instance. */
@@ -70,8 +67,7 @@ class ModeController
      */
     virtual void taskFinished(const trace::TaskInstance &inst,
                               ThreadId thread, SimMode mode,
-                              double ipc,
-                              const EngineStatus &status) = 0;
+                              double ipc) = 0;
 
     /**
      * Monotone counter the engine polls to detect checkpointable

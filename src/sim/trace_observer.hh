@@ -3,7 +3,7 @@
  * Streaming trace observers for the simulation engine.
  *
  * A TraceObserver receives the engine's task lifecycle events
- * (scheduled/start/end per core), sampling-phase transitions
+ * (scheduled and end per core), sampling-phase transitions
  * (warmup/sampling/fast-forward from the mode controller), and
  * memory-hierarchy counter snapshots at sample boundaries. Observers
  * are strictly read-only: the engine emits events only behind an
@@ -74,12 +74,6 @@ class TraceObserver
     /** A task instance was picked from the ready queue for `core`. */
     virtual void onTaskScheduled(ThreadId /*core*/,
                                  TaskInstanceId /*id*/, Cycles /*at*/)
-    {}
-
-    /** The instance begins executing (after dispatch overhead). */
-    virtual void onTaskStart(ThreadId /*core*/,
-                             const trace::TaskInstance & /*inst*/,
-                             Cycles /*start*/, SimMode /*mode*/)
     {}
 
     /**

@@ -102,16 +102,13 @@ struct KernelProfile
     MemPattern pattern;
 };
 
-/** Base of the per-type shared address regions. */
-inline constexpr Addr kSharedRegionBase = 1ULL << 40;
-
 /** Bytes reserved per task type for its shared region. */
 inline constexpr Addr kSharedRegionSpan = 1ULL << 30;
 
-/** Base of the per-instance private address regions. */
-inline constexpr Addr kPrivateRegionBase = 1ULL << 44;
-
-/** @return base address of task type t's shared region. */
+/**
+ * @return base address of task type t's shared region (layout in
+ * common/types.hh).
+ */
 inline Addr
 sharedRegionBase(TaskTypeId t)
 {

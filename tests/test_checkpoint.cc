@@ -109,12 +109,13 @@ withVersion(std::string blob, std::uint32_t version, bool seal)
 
 TEST(CheckpointEnvelope, VersionSkewIsRecoverable)
 {
-    // A newer build's blob, one from before each simulated fact was
-    // stored once, one from before 8-bit recency stamps, one from
-    // before run-length encoded blocks and one from before anonymous
-    // junk lines.
+    // A newer build's blob, one from before the unvaried settings
+    // were retired, one from before each simulated fact was stored
+    // once, one from before 8-bit recency stamps, one from before
+    // run-length encoded blocks and one from before anonymous junk
+    // lines.
     for (const std::uint32_t skewed :
-         {sim::kCheckpointFormatVersion + 1, 4u, 3u, 2u, 1u}) {
+         {sim::kCheckpointFormatVersion + 1, 5u, 4u, 3u, 2u, 1u}) {
         try {
             sim::deserializeCheckpoint(
                 withVersion(sim::serializeCheckpoint(sampleCheckpoint()),
@@ -560,8 +561,8 @@ TEST(CheckpointFormat, PayloadDigestsArePinned)
     cholesky.spec.runtime.scheduler = rt::SchedulerKind::WorkStealing;
     cholesky.sampling = sampling::SamplingParams::adaptive(0.02);
     const Pinned pinned[] = {
-        {histogram, {0xe155f0317b9bb806ULL}},
-        {cholesky, {0x6a3f743b70a4ca07ULL}},
+        {histogram, {0x21f5c24296eeb92fULL}},
+        {cholesky, {0x466d623d06716ba4ULL}},
     };
 
     for (const Pinned &p : pinned) {

@@ -73,12 +73,14 @@ TEST(Integration, SchedulersAllCompleteAndDiffer)
     const trace::TaskTrace t =
         work::generateWorkload("cholesky", smallScale());
     std::vector<Cycles> totals;
-    for (const char *name : {"fifo", "steal", "locality"}) {
+    for (const rt::SchedulerKind kind :
+         {rt::SchedulerKind::Fifo, rt::SchedulerKind::WorkStealing,
+          rt::SchedulerKind::Locality}) {
         harness::RunSpec s = spec(4);
-        s.runtime.scheduler = rt::schedulerKindByName(name);
+        s.runtime.scheduler = kind;
         const sim::SimResult r = harness::runDetailed(t, s);
-        EXPECT_GT(r.totalCycles, 0u) << name;
-        EXPECT_EQ(r.detailedTasks, t.size()) << name;
+        EXPECT_GT(r.totalCycles, 0u) << rt::toString(kind);
+        EXPECT_EQ(r.detailedTasks, t.size()) << rt::toString(kind);
         totals.push_back(r.totalCycles);
     }
     // Dynamic scheduling decisions must actually differ.

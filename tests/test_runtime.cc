@@ -113,7 +113,7 @@ TEST(FifoScheduler, FifoOrder)
     EXPECT_EQ(s.nextTask(0), 10u);
     EXPECT_EQ(s.nextTask(0), 20u);
     EXPECT_EQ(s.nextTask(0), kNoTaskInstance);
-    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.size(), 0u);
 }
 
 TEST(WorkStealingScheduler, OwnerPopsLifo)
@@ -146,7 +146,7 @@ TEST(WorkStealingScheduler, DrainsCompletely)
         ASSERT_NE(id, kNoTaskInstance);
         EXPECT_TRUE(seen.insert(id).second);
     }
-    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.size(), 0u);
 }
 
 TEST(LocalityScheduler, PrefersLocalQueue)
@@ -169,16 +169,18 @@ TEST(LocalityScheduler, HelpsFromFullestQueueWhenStarved)
 
 TEST(Scheduler, FactoryAndNames)
 {
-    const auto f = makeScheduler(SchedulerKind::Fifo, 4, 1);
-    const auto w =
-        makeScheduler(SchedulerKind::WorkStealing, 4, 1);
-    const auto l = makeScheduler(SchedulerKind::Locality, 4, 1);
-    EXPECT_EQ(f->name(), "fifo");
-    EXPECT_EQ(w->name(), "steal");
-    EXPECT_EQ(l->name(), "locality");
-    EXPECT_EQ(schedulerKindByName("steal"),
-              SchedulerKind::WorkStealing);
-    EXPECT_THROW(schedulerKindByName("bogus"), SimError);
+    EXPECT_STREQ(toString(SchedulerKind::Fifo), "fifo");
+    EXPECT_STREQ(toString(SchedulerKind::WorkStealing), "steal");
+    EXPECT_STREQ(toString(SchedulerKind::Locality), "locality");
+    for (const SchedulerKind kind :
+         {SchedulerKind::Fifo, SchedulerKind::WorkStealing,
+          SchedulerKind::Locality}) {
+        const auto s = makeScheduler(kind, 4, 1);
+        s->taskReady(7, kNoThread);
+        EXPECT_EQ(s->size(), 1u) << toString(kind);
+        EXPECT_EQ(s->nextTask(0), 7u) << toString(kind);
+        EXPECT_EQ(s->size(), 0u) << toString(kind);
+    }
 }
 
 TEST(RuntimeModel, DispatchesRespectingDependencies)

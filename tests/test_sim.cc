@@ -165,7 +165,7 @@ class AllFastController : public ModeController
 
     void
     taskFinished(const trace::TaskInstance &, ThreadId, SimMode mode,
-                 double, const EngineStatus &) override
+                 double) override
     {
         tp_assert(mode == SimMode::Fast);
     }
@@ -212,16 +212,14 @@ TEST(Engine, StatusReportsEffectiveConcurrency)
                    const EngineStatus &st) override
         {
             EXPECT_GE(st.effectiveConcurrency, 1u);
-            EXPECT_LE(st.effectiveConcurrency, st.totalCores);
-            EXPECT_LE(st.activeCores, st.totalCores);
+            EXPECT_LE(st.effectiveConcurrency, 4u); // the run's threads
             ++decides;
             return ModeDecision{SimMode::Fast, 1.0, false};
         }
         void
         taskFinished(const trace::TaskInstance &, ThreadId, SimMode,
-                     double, const EngineStatus &st) override
+                     double) override
         {
-            EXPECT_LE(st.activeCores, st.totalCores);
             ++finishes;
         }
         int decides = 0;
