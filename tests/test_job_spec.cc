@@ -559,14 +559,79 @@ TEST(WireBytes, ShardBytesArePinned)
     EXPECT_EQ(checksumOf(os.str()), 0xf8f5cd9941939955ULL);
 }
 
-TEST(WireBytes, TraceBytesArePinned)
+/** The serialized bytes of a registry trace. */
+std::string
+traceBytes(const std::string &workload, double scale)
 {
     work::WorkloadParams wp;
-    wp.scale = 0.02;
+    wp.scale = scale;
     wp.seed = 42;
     std::ostringstream os(std::ios::binary);
-    trace::serializeTrace(work::generateWorkload("histogram", wp), os);
-    EXPECT_EQ(checksumOf(os.str()), 0x7ebdca731b7bc3c4ULL);
+    trace::serializeTrace(work::generateWorkload(workload, wp), os);
+    return os.str();
+}
+
+/**
+ * Every registry trace, so the dependency CSR of each generator's
+ * edge pattern is pinned too.
+ */
+TEST(WireBytes, TraceBytesArePinned)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"2d-convolution", 0x6461b3e17098c219ULL},
+        {"3d-stencil", 0x3332e7f57633080dULL},
+        {"atomic-monte-carlo-dynamics", 0x1bfbb9215f68841bULL},
+        {"dense-matrix-multiplication", 0x597f03d1127ae8feULL},
+        {"histogram", 0x7ebdca731b7bc3c4ULL},
+        {"n-body", 0x10f18920c5a3dabcULL},
+        {"reduction", 0x52e8f962a45d35dcULL},
+        {"sparse-matrix-vector-multiplication", 0x556a7f3e38d37bd0ULL},
+        {"vector-operation", 0x3a8e72652f020876ULL},
+        {"checkSparseLU", 0x14605a3a9f90d145ULL},
+        {"cholesky", 0x0e0952d145d646ddULL},
+        {"kmeans", 0x0d100b919eaa09b5ULL},
+        {"knn", 0x6f1b1ff7b77992bfULL},
+        {"blackscholes", 0x8a365184bd7bb2e0ULL},
+        {"bodytrack", 0xf81a2d80bac3b34eULL},
+        {"canneal", 0x7c57f61753e53268ULL},
+        {"dedup", 0x8bfc17204a43d701ULL},
+        {"freqmine", 0xff9a44690d35c71cULL},
+        {"swaptions", 0xb0343ab9f5f21909ULL},
+    };
+    ASSERT_EQ(pinned.size(), work::allWorkloads().size());
+    for (const work::WorkloadInfo &w : work::allWorkloads()) {
+        const std::uint64_t got = checksumOf(traceBytes(w.name, 0.02));
+        EXPECT_EQ(got, pinned.at(w.name))
+            << w.name << ": 0x" << toHex(got);
+    }
+}
+
+/**
+ * traceDigest of two edge-heavy traces that span many of the 16 KiB
+ * chunks it hashes at a time (harness/result_cache.cc) and of one
+ * that fits in a single chunk. These name result-cache entries.
+ */
+TEST(WireBytes, TraceDigestsArePinned)
+{
+    const struct
+    {
+        const char *workload;
+        double scale;
+        const char *digest;
+    } pinned[] = {
+        {"bodytrack", 0.5, "a3cab665f95608b5f4a1fe22f10e86f2"},
+        {"cholesky", 0.5, "36af71abe09b56ad7a3a11b05b3da2de"},
+        {"dedup", 0.001, "18e2ad404c688e4998383d9e62dce8ac"},
+    };
+    for (const auto &p : pinned) {
+        work::WorkloadParams wp;
+        wp.scale = p.scale;
+        wp.seed = 42;
+        const trace::TaskTrace t = work::generateWorkload(p.workload, wp);
+        EXPECT_EQ(traceDigest(t), p.digest) << p.workload;
+    }
+    EXPECT_GT(traceBytes("cholesky", 0.5).size(), std::size_t{1} << 19);
+    EXPECT_LT(traceBytes("dedup", 0.001).size(), std::size_t{16} << 10);
 }
 
 TEST(WireBytes, ResultBytesArePinned)
