@@ -62,7 +62,17 @@ class IoError : public SimError
 [[noreturn]] void throwIoError(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Binary encoder writing PODs, strings and vectors to a stream. */
+/**
+ * Binary encoder writing PODs, strings and vectors to a stream.
+ *
+ * Each field goes straight to the stream's buffer (sputn), without
+ * the sentry of ostream::write: no stream written through a
+ * BinaryWriter is tied to another or set to unitbuf, so the sentry
+ * would only test good(), which bytes() does itself. As with
+ * ostream::write, a short write sets badbit and a stream that is no
+ * longer good is not written to again; an exception thrown by the
+ * buffer propagates.
+ */
 class BinaryWriter
 {
   public:
@@ -72,7 +82,7 @@ class BinaryWriter
     void
     pod(const T &v)
     {
-        out_.write(reinterpret_cast<const char *>(&v), sizeof(T));
+        bytes(&v, sizeof(T));
     }
 
     void
@@ -86,8 +96,11 @@ class BinaryWriter
     void
     bytes(const void *p, std::size_t n)
     {
-        out_.write(static_cast<const char *>(p),
-                   static_cast<std::streamsize>(n));
+        if (!out_.good())
+            return;
+        const auto len = static_cast<std::streamsize>(n);
+        if (out_.rdbuf()->sputn(static_cast<const char *>(p), len) != len)
+            out_.setstate(std::ios::badbit);
     }
 
     /** @return whether every write so far succeeded. */

@@ -4,19 +4,14 @@
 
 namespace tp {
 
-std::uint64_t
-fnv1a(const void *data, std::size_t len, std::uint64_t seed)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace {
+
+/** One FNV-1a step: xor in a byte, multiply by the FNV prime. */
+inline std::uint64_t
+fnvStep(std::uint64_t h, unsigned char byte)
+{
+    return (h ^ byte) * 0x100000001b3ULL;
+}
 
 /**
  * One checksum step: xor in `w`, multiply by an odd constant, fold
@@ -42,6 +37,36 @@ loadWord(const unsigned char *p)
 }
 
 } // namespace
+
+std::uint64_t
+fnv1a(const void *data, std::size_t len, std::uint64_t seed)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint64_t h = seed;
+    for (std::size_t i = 0; i < len; ++i)
+        h = fnvStep(h, p[i]);
+    return h;
+}
+
+void
+Digest128::update(const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint64_t lo = lo_;
+    std::uint64_t hi = hi_;
+    for (std::size_t i = 0; i < len; ++i) {
+        lo = fnvStep(lo, p[i]);
+        hi = fnvStep(hi, p[i]);
+    }
+    lo_ = lo;
+    hi_ = hi;
+}
+
+std::string
+Digest128::hex() const
+{
+    return toHex(hi_) + toHex(lo_);
+}
 
 std::uint64_t
 checksum64(const void *data, std::size_t len)
@@ -89,11 +114,9 @@ toHex(std::uint64_t v)
 std::string
 hexDigest128(const std::string &bytes)
 {
-    const std::uint64_t lo = fnv1a(bytes.data(), bytes.size());
-    const std::uint64_t hi =
-        fnv1a(bytes.data(), bytes.size(),
-              kFnvOffsetBasis ^ 0x9e3779b97f4a7c15ULL);
-    return toHex(hi) + toHex(lo);
+    Digest128 d;
+    d.update(bytes.data(), bytes.size());
+    return d.hex();
 }
 
 } // namespace tp

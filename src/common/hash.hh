@@ -21,6 +21,7 @@
 #ifndef TP_COMMON_HASH_HH
 #define TP_COMMON_HASH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -53,9 +54,26 @@ std::uint64_t checksum64(const void *data, std::size_t len);
 std::string toHex(std::uint64_t v);
 
 /**
- * 128-bit content digest as 32 lowercase hex characters: two FNV-1a
- * passes over `bytes` with independent seeds (see file comment).
+ * The 128-bit content digest, fed in pieces: two FNV-1a lanes with
+ * independent seeds (see file comment) take each byte in one pass,
+ * so their multiply chains overlap and bytes produced piecewise (a
+ * streamed serialization) never need to exist in one buffer.
  */
+class Digest128
+{
+  public:
+    /** Hash `len` more bytes. */
+    void update(const void *data, std::size_t len);
+
+    /** @return the digest of every byte so far, 32 hex characters. */
+    std::string hex() const;
+
+  private:
+    std::uint64_t lo_ = kFnvOffsetBasis;
+    std::uint64_t hi_ = kFnvOffsetBasis ^ 0x9e3779b97f4a7c15ULL;
+};
+
+/** Digest128 of `bytes` in one call. */
 std::string hexDigest128(const std::string &bytes);
 
 } // namespace tp

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <system_error>
 #include <vector>
 
@@ -47,6 +48,49 @@ const char *const kEntrySuffix = ".tpres";
 /** Process/thread-unique temp-file counter for atomic publishes. */
 std::atomic<std::uint64_t> g_tmpCounter{0};
 
+/**
+ * An output buffer that digests what is written to it one 16 KiB
+ * chunk at a time, so bytes serialized into it are hashed without
+ * ever existing in memory as a whole.
+ */
+class DigestBuf : public std::streambuf
+{
+  public:
+    DigestBuf() { setp(chunk_, chunk_ + sizeof(chunk_)); }
+
+    /** @return the digest of every byte written so far. */
+    std::string
+    hex()
+    {
+        drain();
+        return digest_.hex();
+    }
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        drain();
+        if (!traits_type::eq_int_type(c, traits_type::eof())) {
+            *pptr() = traits_type::to_char_type(c);
+            pbump(1);
+        }
+        return traits_type::not_eof(c);
+    }
+
+  private:
+    /** Hash the chunk's bytes and start a new chunk. */
+    void
+    drain()
+    {
+        digest_.update(pbase(), static_cast<std::size_t>(pptr() - pbase()));
+        setp(chunk_, chunk_ + sizeof(chunk_));
+    }
+
+    Digest128 digest_;
+    char chunk_[16 << 10];
+};
+
 } // namespace
 
 std::string
@@ -55,9 +99,10 @@ traceDigest(const trace::TaskTrace &trace)
     // The serialized trace pins workload identity: name, structure,
     // per-instance sizes and seeds — everything generation derived
     // from (workload name, WorkloadParams, job seed).
-    std::ostringstream traceBytes(std::ios::binary);
-    trace::serializeTrace(trace, traceBytes);
-    return hexDigest128(traceBytes.str());
+    DigestBuf buf;
+    std::ostream bytes(&buf);
+    trace::serializeTrace(trace, bytes);
+    return buf.hex();
 }
 
 std::string
@@ -65,7 +110,7 @@ resultCacheKey(const std::string &trace_digest, const RunSpec &spec,
                std::uint32_t formatVersion)
 {
     // Serialize the full key material into one buffer, then digest
-    // it to 128 bits (two independent FNV-1a passes). The RunSpec
+    // it to 128 bits (two independently seeded FNV-1a lanes). The RunSpec
     // bytes are the plan-file encoding (harness/job_spec), so the
     // key covers exactly the fields a replayed plan pins down.
     std::ostringstream material(std::ios::binary);

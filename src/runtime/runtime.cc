@@ -7,7 +7,7 @@ namespace tp::rt {
 RuntimeModel::RuntimeModel(const trace::TaskTrace &trace,
                            const RuntimeConfig &config,
                            std::uint32_t num_threads)
-    : trace_(trace), config_(config), tracker_(trace),
+    : config_(config), tracker_(trace),
       scheduler_(makeScheduler(config.scheduler, num_threads,
                                config.seed))
 {

@@ -82,7 +82,6 @@ class RuntimeModel
     }
 
   private:
-    const trace::TaskTrace &trace_;
     RuntimeConfig config_;
     DepTracker tracker_;
     std::unique_ptr<Scheduler> scheduler_;

@@ -122,29 +122,47 @@ TraceBuilder::build()
         fatal("build: trace has no task instances");
 
     TaskTrace t;
-    t.name_ = std::move(name_);
+    t.name_ = name_;
     t.types_ = std::move(types_);
     t.instances_ = std::move(instances_);
 
-    // Deduplicate and sort edges, then build CSR successor lists.
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()),
-                 edges_.end());
-
+    // CSR successor lists, each ascending and free of duplicates:
+    // bucket the edges by predecessor (a counting sort), then sort
+    // and deduplicate each short bucket, compacting as we go. This is
+    // the CSR a global sort + unique of the edges gives, in O(E + n)
+    // plus the per-bucket sorts.
     const std::size_t n = t.instances_.size();
-    t.inDegree_.assign(n, 0);
-    t.succOffsets_.assign(n + 1, 0);
-    for (const auto &[pred, succ] : edges_) {
-        ++t.succOffsets_[pred + 1];
-        ++t.inDegree_[succ];
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        t.succOffsets_[i + 1] += t.succOffsets_[i];
-    t.succs_.resize(edges_.size());
-    std::vector<std::uint64_t> cursor(t.succOffsets_.begin(),
-                                      t.succOffsets_.end() - 1);
+    std::vector<std::uint64_t> &offsets = t.succOffsets_;
+    offsets.assign(n + 1, 0);
     for (const auto &[pred, succ] : edges_)
-        t.succs_[cursor[pred]++] = succ;
+        ++offsets[pred + 1];
+    for (std::size_t i = 0; i < n; ++i)
+        offsets[i + 1] += offsets[i];
+    t.succs_.resize(edges_.size());
+    TaskInstanceId *succs = t.succs_.data();
+    // Scattering advances offsets[p] from the start of p's bucket to
+    // its end, which is where bucket p + 1 starts.
+    for (const auto &[pred, succ] : edges_)
+        succs[offsets[pred]++] = succ;
+    std::uint64_t begin = 0;
+    std::uint64_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        TaskInstanceId *first = succs + begin;
+        TaskInstanceId *last = succs + offsets[i];
+        begin = offsets[i];
+        std::sort(first, last);
+        last = std::unique(first, last);
+        offsets[i] = kept;
+        if (succs + kept != first)
+            std::copy(first, last, succs + kept);
+        kept += static_cast<std::uint64_t>(last - first);
+    }
+    offsets[n] = kept;
+    t.succs_.resize(kept);
+    t.succs_.shrink_to_fit(); // frees what duplicate edges took
+    t.inDegree_.assign(n, 0);
+    for (const TaskInstanceId succ : t.succs_)
+        ++t.inDegree_[succ];
 
     t.epochSizes_.assign(currentEpoch_ + 1, 0);
     t.totalInsts_ = 0;
@@ -153,7 +171,10 @@ TraceBuilder::build()
         t.totalInsts_ += ti.instCount;
     }
 
+    types_.clear();
+    instances_.clear();
     edges_.clear();
+    pools_.clear();
     currentEpoch_ = 0;
     nextPrivBase_ = kPrivateRegionBase;
 

@@ -89,8 +89,10 @@ class TraceBuilder
     Rng &rng() { return rng_; }
 
     /**
-     * Finalize into an immutable, validated TaskTrace. The builder is
-     * left empty; reuse requires re-declaration.
+     * Finalize into an immutable, validated TaskTrace. The builder
+     * keeps its name and seed stream and is otherwise left empty:
+     * types, region pools, instances, edges and barriers must be
+     * declared again for the next trace.
      */
     TaskTrace build();
 

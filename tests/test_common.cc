@@ -2,16 +2,19 @@
  * @file
  * Unit tests for the common library: RNG, statistics, CLI, tables,
  * logging, the flat map, checkpoint state I/O (StateIo) with its
- * run-length block codec, and the checksum64 integrity checksum.
+ * run-length block codec, BinaryWriter's failure handling, and the
+ * checksum64 integrity checksum.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -898,6 +901,77 @@ TEST(BlockCodec, MalformedSpansAreIoErrors)
     expectIoError(framed(good + std::string(20, '\0')),
                   "state block length");
     expectIoError(framed(good).substr(0, 5), "truncated");
+}
+
+/**
+ * A stream buffer that accepts the first `limit` bytes written to it
+ * and refuses the rest, recording every call it gets.
+ */
+class LimitedBuf : public std::streambuf
+{
+  public:
+    explicit LimitedBuf(std::size_t limit) : limit_(limit) {}
+
+    std::string accepted;
+    std::size_t calls = 0;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        ++calls;
+        const auto room = static_cast<std::streamsize>(limit_) -
+                          static_cast<std::streamsize>(accepted.size());
+        const std::streamsize take = std::min(n, room);
+        accepted.append(s, static_cast<std::size_t>(take));
+        return take;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        const char ch = traits_type::to_char_type(c);
+        return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+    }
+
+  private:
+    std::size_t limit_;
+};
+
+TEST(BinaryWriter, ShortWriteFailsAndStopsWriting)
+{
+    LimitedBuf buf(10);
+    std::ostream out(&buf);
+    BinaryWriter w(out);
+    w.pod<std::uint64_t>(0x0807060504030201ULL);
+    EXPECT_TRUE(w.good());
+    w.pod<std::uint32_t>(0x0c0b0a09U); // only 2 of its 4 bytes fit
+    EXPECT_FALSE(w.good());
+    EXPECT_TRUE(out.bad());
+    EXPECT_EQ(buf.accepted, std::string("\x01\x02\x03\x04\x05\x06"
+                                        "\x07\x08\x09\x0a",
+                                        10));
+    const std::size_t calls = buf.calls;
+    w.pod<std::uint64_t>(1);
+    w.str("after the failure");
+    w.bytes("xyz", 3);
+    EXPECT_EQ(buf.calls, calls) << "the buffer saw a write after the "
+                                   "failure";
+    EXPECT_EQ(buf.accepted.size(), 10u);
+    EXPECT_FALSE(w.good());
+}
+
+TEST(BinaryWriter, FailedStreamIsNotWritten)
+{
+    LimitedBuf buf(1024);
+    std::ostream out(&buf);
+    out.setstate(std::ios::failbit);
+    BinaryWriter w(out);
+    w.pod<std::uint64_t>(1);
+    w.str("never written");
+    EXPECT_EQ(buf.calls, 0u);
+    EXPECT_TRUE(buf.accepted.empty());
+    EXPECT_FALSE(w.good());
 }
 
 /**

@@ -4,7 +4,8 @@
  * reference SimResults and sampled outcomes, single-field key
  * sensitivity (including sampling parameters), torn/truncated-entry
  * detection, LRU eviction under the size cap, read-only/shared-
- * directory behaviour and real (not injected) store failures.
+ * directory behaviour, real (not injected) store failures, and the
+ * streamed trace digest the keys are built from.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include "common/binary_io.hh"
+#include "common/hash.hh"
 #include "corruption_battery.hh"
 #include "harness/result_cache.hh"
+#include "trace/trace_io.hh"
 #include "workloads/workloads.hh"
 
 namespace fs = std::filesystem;
@@ -587,6 +591,31 @@ TEST_F(ResultCacheTest, KeysAreStableAcrossInstancesAndRuns)
     // a pair of identical 64-bit halves would mean the second seed
     // is not doing its job.
     EXPECT_NE(k1.substr(0, 16), k1.substr(16));
+}
+
+/**
+ * traceDigest streams the serialized trace through its hash in 16 KiB
+ * chunks; it must equal hexDigest128 of the whole serialized trace,
+ * for traces spanning many chunks and for one that fits in a single
+ * chunk.
+ */
+TEST(TraceDigest, EqualsDigestOfTheSerializedTrace)
+{
+    const auto expectMatch = [](const trace::TaskTrace &t) {
+        std::ostringstream os(std::ios::binary);
+        trace::serializeTrace(t, os);
+        EXPECT_EQ(traceDigest(t), hexDigest128(os.str())) << t.name();
+        return os.str().size();
+    };
+    std::size_t multiChunk = 0;
+    for (const work::WorkloadInfo &w : work::allWorkloads())
+        multiChunk += expectMatch(w.generate(tinyScale())) > (16u << 10);
+    EXPECT_GE(multiChunk, 10u);
+
+    work::WorkloadParams tiny = tinyScale();
+    tiny.scale = 0.001;
+    EXPECT_LT(expectMatch(work::generateWorkload("dedup", tiny)),
+              16u << 10);
 }
 
 } // namespace

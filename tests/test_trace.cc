@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "trace/instr_stream.hh"
 #include "trace/trace.hh"
 #include "trace/trace_builder.hh"
@@ -180,6 +183,99 @@ TEST(TraceBuilder, RegionPoolCycles)
                   t.instance(i + 3).privBase);
     }
     EXPECT_NE(t.instance(0).privBase, t.instance(1).privBase);
+}
+
+TEST(TraceBuilder, ReuseStartsFromAnEmptyBuilder)
+{
+    TraceBuilder b("reused", 1);
+    const auto pooled = b.addTaskType("pooled", basicProfile());
+    b.setRegionPool(pooled, 4, 4096);
+    b.createTask(pooled, 100, 4096);
+    (void)b.build();
+
+    // The second trace declares no pools, so neither type may inherit
+    // the first trace's pool of 4 KiB regions.
+    const auto t0 = b.addTaskType("first", basicProfile());
+    const auto t1 = b.addTaskType("second", basicProfile());
+    b.createTask(t0, 100, 1 << 16);
+    b.createTask(t1, 100, 1 << 16);
+    const TaskTrace t = b.build();
+    EXPECT_EQ(t.name(), "reused");
+    const TaskInstance &a = t.instance(0);
+    const TaskInstance &c = t.instance(1);
+    EXPECT_EQ(a.privFootprint, Addr{1} << 16);
+    EXPECT_EQ(c.privFootprint, Addr{1} << 16);
+    EXPECT_TRUE(a.privBase + a.privFootprint <= c.privBase ||
+                c.privBase + c.privFootprint <= a.privBase)
+        << std::hex << a.privBase << " and " << c.privBase;
+}
+
+/**
+ * build() buckets the edges by predecessor and sorts each list; the
+ * result must be the CSR a global sort + unique of the edge multiset
+ * gives, whatever the insertion order and however many duplicates.
+ */
+TEST(TraceBuilder, CsrMatchesGlobalSortOfTheEdges)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(trial);
+        const std::uint64_t n = 200 + rng.nextBounded(400);
+        // Every seventh instance has no edges at all.
+        const auto isolated = [](TaskInstanceId i) { return i % 7 == 3; };
+        std::vector<std::pair<TaskInstanceId, TaskInstanceId>> edges;
+        const auto add = [&](TaskInstanceId pred, TaskInstanceId succ) {
+            if (!isolated(pred) && !isolated(succ))
+                edges.emplace_back(pred, succ);
+        };
+        for (std::uint64_t e = 0, m = n + rng.nextBounded(n); e < m; ++e) {
+            const TaskInstanceId pred = rng.nextBounded(n - 1);
+            const TaskInstanceId succ =
+                pred + 1 + rng.nextBounded(n - 1 - pred);
+            add(pred, succ);
+            if (rng.nextBounded(4) == 0)
+                add(pred, succ); // a duplicate
+        }
+        // One predecessor fanning out to hundreds of successors.
+        const TaskInstanceId hub = 7 * rng.nextBounded(n / 28);
+        for (TaskInstanceId succ = hub + 1; succ < n; ++succ)
+            if (rng.nextBounded(4) != 0)
+                add(hub, succ);
+        if (trial % 2 == 0) {
+            std::reverse(edges.begin(), edges.end());
+        } else {
+            for (std::size_t i = edges.size(); i > 1; --i)
+                std::swap(edges[i - 1], edges[rng.nextBounded(i)]);
+        }
+
+        TraceBuilder b("csr", 1);
+        const auto ty = b.addTaskType("t", basicProfile());
+        for (std::uint64_t i = 0; i < n; ++i)
+            b.createTask(ty, 100);
+        for (const auto &[pred, succ] : edges)
+            b.addDependency(pred, succ);
+        const TaskTrace t = b.build();
+
+        const std::size_t added = edges.size();
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        EXPECT_LT(edges.size(), added) << "no duplicate edges drawn";
+        std::vector<std::vector<TaskInstanceId>> succs(n);
+        std::vector<std::uint32_t> inDegree(n, 0);
+        for (const auto &[pred, succ] : edges) {
+            succs[pred].push_back(succ);
+            ++inDegree[succ];
+        }
+        EXPECT_GE(succs[hub].size(), 100u);
+        for (TaskInstanceId i = 0; i < n; ++i) {
+            const auto got = t.successors(i);
+            EXPECT_EQ(std::vector<TaskInstanceId>(got.begin(), got.end()),
+                      succs[i])
+                << "successors of " << i;
+            EXPECT_EQ(t.inDegree(i), inDegree[i]) << "in-degree of " << i;
+        }
+        EXPECT_EQ(t.stats().numDependencies, edges.size());
+    }
 }
 
 TEST(TraceBuilder, InstanceSeedsDiffer)
